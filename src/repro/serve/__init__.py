@@ -9,8 +9,8 @@ time, appends it crash-safely to a live out-of-core store
 analyses, and exposes the run's metrics on a Prometheus scrape
 endpoint while collection is in flight.
 
-Determinism is inherited, not re-implemented: the service drives the
-same per-block streams as the batch engine
+Determinism is inherited, not re-implemented: each tick steps the
+batch engine's own kernel one window further
 (:class:`~repro.sim.engine.LiveShardSimulator`), so a killed-and-
 restarted service catches up by replaying the committed intervals and
 converges on a dataset bit-identical — same SHA-256 — to an

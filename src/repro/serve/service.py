@@ -3,7 +3,7 @@
 :class:`ObservatoryService` is the scheduler at the heart of ``repro
 serve``.  Each tick it:
 
-1. steps the deterministic engine one window interval
+1. steps the batch collection kernel one window interval
    (:class:`~repro.sim.engine.LiveShardSimulator`) and the routing
    evolution the matching number of days;
 2. commits the interval's column to the live store through
@@ -19,9 +19,10 @@ serve``.  Each tick it:
    the HTTP thread only ever sees finished strings).
 
 **Catch-up**: on start the service replays the already-committed
-intervals through the same engine — every stream is keyed per block,
-so replay reproduces the committed columns bit for bit (and verifies
-that, by default) — then resumes collecting where the store left off.
+intervals through the same kernel, one window per step — every stream
+is keyed per block, so replay reproduces the committed columns bit for
+bit (and verifies that, by default) — then resumes collecting where
+the store left off.
 A run killed at any instant therefore converges to the identical
 dataset SHA-256 an uninterrupted run produces.
 """

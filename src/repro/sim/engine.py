@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import datetime
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -67,7 +68,7 @@ from repro.sim.checkpoint import (
     save_shard_checkpoint,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.policies import BLOCK_SIZE, AddressPolicy, PolicyKind
+from repro.sim.policies import BLOCK_SIZE, AddressPolicy, DaysActivity, PolicyKind
 from repro.sim.population import Block, InternetPopulation
 from repro.sim.scenario import (
     Perturbation,
@@ -465,243 +466,278 @@ def _day_tables(config: SimulationConfig, num_days: int) -> tuple[list[int], lis
     return day_of_weeks, traffic_scales
 
 
-def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
-    """The vectorized block-major kernel shared by both observe modes.
+class _ShardKernel:
+    """The vectorized block-major kernel, resumable over a day range.
 
     Every random stream is private to one block (policy streams from
     ``Block.seed``, UA streams from :func:`block_ua_rng`), so the
     historical day-major loop can be transposed into a block-major one
-    without touching any stream: each block's horizon is split into
-    segments at its policy-change directives, each segment runs through
-    the policy's batched :meth:`~repro.sim.policies.AddressPolicy.
+    without touching any stream: each :meth:`advance` call splits every
+    block's day range into segments at the call's edges and at the
+    block's policy-change directives, each segment runs through the
+    policy's batched :meth:`~repro.sim.policies.AddressPolicy.
     days_activity` (which draws day by day in the scalar call order but
     defers all deterministic math to columnar array ops), and the
     engine reduces the returned subscriber rows with ``bincount``
-    scatter-adds instead of per-day python branches:
+    scatter-adds:
 
-    - window columns: one ``(day, offset)`` keyed bincount per block
-      segment, summed per window — hit counts are integers far below
-      2**53, so the float64 accumulation is exact and grouping-order
-      independent;
-    - ``addr_days``: nonzero cells of the same bincount;
+    - window columns: one ``bincount`` per block-day, summed per
+      window — hit counts are integers far below 2**53, so the float64
+      accumulation is exact and grouping-order independent;
+    - ``addr_days``: nonzero cells of the same bincounts;
     - login-panel rows: one batched :func:`hash_coin` over all rows
       (the coin is stateless), sliced back per day;
     - UA sampling: untouched per-day calls into :func:`sample_uas`
       with the day's row slice, preserving that stream's draw order.
 
+    Each block's current policy, kind, and UA stream persist across
+    calls, so stepping the horizon in any number of calls consumes
+    every stream exactly as one whole-horizon call does: call edges are
+    just more segment cut points.  Batch collection makes one call over
+    ``[0, num_days)``; :class:`LiveShardSimulator` makes one per window.
+
     :func:`_simulate_shard_blocks_reference` keeps the historical
-    day-major loop as the executable specification; the equivalence
-    tests hold the two paths bit-identical.
+    day-major loop as the test oracle; the equivalence tests hold the
+    two paths bit-identical.
     """
-    config = task.config
-    num_days = task.num_days
-    _validate_windowing(num_days, task.window_days)
-    blocks = task.blocks
-    num_windows = num_days // task.window_days
-    day_of_weeks, traffic_scales = _day_tables(config, num_days)
 
-    # Last directive per (block, day) wins, exactly as the scalar loop
-    # applied same-day directives in order.  Intermediate and initial
-    # policies a directive immediately replaces are never constructed:
-    # construction only draws from the policy's private stream, so
-    # skipping it is invisible to every other stream.
-    directives_by_block: dict[int, dict[int, tuple[str, int]]] = {}
-    for day, block_index, kind_value, salt in task.directives:
-        if 0 <= day < num_days:
-            directives_by_block.setdefault(block_index, {})[day] = (kind_value, salt)
+    def __init__(self, task: ShardTask) -> None:
+        num_days = task.num_days
+        _validate_windowing(num_days, task.window_days)
+        self._task = task
+        self._day_of_weeks, self._traffic_scales = _day_tables(task.config, num_days)
 
-    # Scenario hit-volume windows, precompiled to per-block day-factor
-    # tables.  Blocks without a table take the exact historical path,
-    # so the empty timeline cannot perturb a single bit.
-    factor_tables = build_day_factor_tables(task.perturbations, num_days)
+        # Last directive per (block, day) wins, exactly as the scalar loop
+        # applied same-day directives in order.  Intermediate and initial
+        # policies a directive immediately replaces are never constructed:
+        # construction only draws from the policy's private stream, so
+        # skipping it is invisible to every other stream.  Change days
+        # are sorted once here; each call only bisects them.
+        changes: dict[int, dict[int, tuple[str, int]]] = {}
+        for day, block_index, kind_value, salt in task.directives:
+            if 0 <= day < num_days:
+                changes.setdefault(block_index, {})[day] = (kind_value, salt)
+        self._changes: dict[int, tuple[list[int], dict[int, tuple[str, int]]]] = {}
+        for block in task.blocks:
+            by_day = changes.get(block.index, {})
+            self._changes[block.index] = (sorted(by_day), by_day)
 
-    scan_days = sorted({day for day in task.scan_days if 0 <= day < num_days})
-    ua_window = task.ua_window
+        # Scenario hit-volume windows, precompiled to per-block day-factor
+        # tables.  Blocks without a table take the exact historical path,
+        # so the empty timeline cannot perturb a single bit.
+        self._factor_tables = build_day_factor_tables(task.perturbations, num_days)
+        self._scan_days = sorted(
+            {day for day in task.scan_days if 0 <= day < num_days}
+        )
 
-    ua_rngs: dict[int, np.random.Generator] = {}
-    ua_samples: dict[int, Counter] = {}
-    login_parts: list[list[tuple[np.ndarray, np.ndarray]]] | None = (
-        [[] for _ in range(num_days)] if task.login_panel_rate > 0 else None
-    )
-    scan_by_day: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
-    window_ips_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
-    window_hits_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
-    final_kinds: dict[int, PolicyKind] = {}
-    addr_days = 0
+        self._policies: dict[int, AddressPolicy] = {}
+        self._kinds: dict[int, PolicyKind] = {
+            block.index: block.kind for block in task.blocks
+        }
+        self._ua_rngs: dict[int, np.random.Generator] = {}
+        self._ua_samples: dict[int, Counter] = {}
+        self._login_parts: list[list[tuple[np.ndarray, np.ndarray]]] | None = (
+            [[] for _ in range(num_days)] if task.login_panel_rate > 0 else None
+        )
+        self._scan_by_day: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
+        num_windows = num_days // task.window_days
+        self._window_ips_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
+        self._window_hits_parts: list[list[np.ndarray]] = [
+            [] for _ in range(num_windows)
+        ]
+        #: Active address-days simulated so far.
+        self.addr_days = 0
+        #: First day not yet simulated.
+        self.day = 0
 
-    for block in blocks:
-        changes = directives_by_block.get(block.index, {})
-        day_factors = factor_tables.get(block.index)
-        cuts = [0] + [day for day in sorted(changes) if day > 0] + [num_days]
-        policy: AddressPolicy | None = None
-        kind = block.kind
-        for seg_start, seg_end in zip(cuts, cuts[1:]):
-            if seg_start in changes:
-                kind_value, salt = changes[seg_start]
-                kind = PolicyKind(kind_value)
-                policy = block.make_policy(config, kind=kind, salt=salt)
-            elif policy is None:
-                policy = block.make_policy(config)
-            rel_scans = [
-                day - seg_start for day in scan_days if seg_start <= day < seg_end
+    def advance(self, stop: int) -> None:
+        """Simulate days ``[day, stop)`` of every block."""
+        task = self._task
+        config = task.config
+        ua_window = task.ua_window
+        login_parts = self._login_parts
+        start = self.day
+        for block in task.blocks:
+            change_days, changes = self._changes[block.index]
+            cuts = [
+                start,
+                *change_days[
+                    bisect_right(change_days, start) : bisect_left(change_days, stop)
+                ],
+                stop,
             ]
-            activity = policy.days_activity(
-                day_of_weeks[seg_start:seg_end],
-                traffic_scales[seg_start:seg_end],
-                snapshot_days=rel_scans,
-            )
-            for rel in rel_scans:
-                scan_by_day.setdefault(seg_start + rel, {})[block.index] = (
-                    kind,
-                    activity.snapshots[rel].copy(),
+            day_factors = self._factor_tables.get(block.index)
+            policy = self._policies.get(block.index)
+            kind = self._kinds[block.index]
+            for seg_start, seg_end in zip(cuts, cuts[1:]):
+                if seg_start in changes:
+                    kind_value, salt = changes[seg_start]
+                    kind = PolicyKind(kind_value)
+                    policy = block.make_policy(config, kind=kind, salt=salt)
+                elif policy is None:
+                    policy = block.make_policy(config)
+                rel_scans = [
+                    day - seg_start
+                    for day in self._scan_days
+                    if seg_start <= day < seg_end
+                ]
+                activity = policy.days_activity(
+                    self._day_of_weeks[seg_start:seg_end],
+                    self._traffic_scales[seg_start:seg_end],
+                    snapshot_days=rel_scans,
                 )
-            rows = int(activity.sub_ids.size)
-            if rows:
-                num_seg_days = seg_end - seg_start
-                day_rel = np.repeat(
-                    np.arange(num_seg_days), np.diff(activity.day_starts)
-                )
-                weights = activity.sub_hits
-                if day_factors is not None:
-                    # Row-wise identical to the reference kernel's
-                    # per-day scalar factor: each row sees its own
-                    # day's factor, and the (day, offset) bincount
-                    # groups sum the same values in the same order.
-                    weights = perturb_hits(
-                        weights, day_factors[seg_start + day_rel]
+                for rel in rel_scans:
+                    self._scan_by_day.setdefault(seg_start + rel, {})[block.index] = (
+                        kind,
+                        activity.snapshots[rel].copy(),
                     )
-                cells = np.bincount(
-                    day_rel * BLOCK_SIZE + activity.sub_offsets,
-                    weights=weights,
-                    minlength=num_seg_days * BLOCK_SIZE,
-                ).reshape(num_seg_days, BLOCK_SIZE)
-                addr_days += int(np.count_nonzero(cells))
-                first_window = seg_start // task.window_days
-                last_window = (seg_end - 1) // task.window_days
-                if task.window_days == 1:
-                    window_cells = cells
-                else:
-                    # Window boundaries clipped to the segment.  The
-                    # cells hold exact integers, so the sequential
-                    # reduceat sum matches the per-window slice sums
-                    # bit for bit.
-                    bounds = np.array(
-                        [
-                            max(window * task.window_days, seg_start) - seg_start
-                            for window in range(first_window, last_window + 1)
-                        ]
-                    )
-                    window_cells = np.add.reduceat(cells, bounds, axis=0)
-                win_rows, win_offsets = window_cells.nonzero()
-                if win_rows.size:
-                    hits_rows = window_cells[win_rows, win_offsets]
-                    ips_rows = (block.base + win_offsets).astype(np.uint32)
-                    starts = np.searchsorted(
-                        win_rows, np.arange(window_cells.shape[0] + 1)
-                    )
-                    for rel_win in range(window_cells.shape[0]):
-                        lo_r, hi_r = int(starts[rel_win]), int(starts[rel_win + 1])
-                        if lo_r < hi_r:
-                            window_ips_parts[first_window + rel_win].append(
-                                ips_rows[lo_r:hi_r]
-                            )
-                            window_hits_parts[first_window + rel_win].append(
-                                hits_rows[lo_r:hi_r]
-                            )
-            if ua_window is not None:
-                for day in range(
-                    max(ua_window[0], seg_start), min(ua_window[1], seg_end - 1) + 1
-                ):
-                    day_rows = activity.day_slice(day - seg_start)
-                    if day_rows.start == day_rows.stop:
-                        continue
-                    rng = ua_rngs.get(block.index)
-                    if rng is None:
-                        rng = ua_rngs[block.index] = block_ua_rng(
-                            config.seed, block.index
-                        )
-                    ua_ids = sample_uas(
-                        rng,
-                        activity.sub_ids[day_rows],
-                        activity.sub_hits[day_rows],
-                        config.ua_sample_rate,
-                        bot_profile=(kind is PolicyKind.CRAWLER),
-                    )
-                    if ua_ids.size:
-                        ua_samples.setdefault(block.base, Counter()).update(
-                            ua_ids.tolist()
-                        )
-            if login_parts is not None and rows:
-                panel = hash_coin(
-                    activity.sub_ids, LOGIN_PANEL_SALT, task.login_panel_rate
-                )
-                if panel.any():
-                    for rel in range(seg_end - seg_start):
-                        day_rows = activity.day_slice(rel)
+                rows = int(activity.sub_ids.size)
+                if rows:
+                    self._reduce_segment(block, activity, seg_start, seg_end, day_factors)
+                if ua_window is not None:
+                    for day in range(
+                        max(ua_window[0], seg_start), min(ua_window[1], seg_end - 1) + 1
+                    ):
+                        day_rows = activity.day_slice(day - seg_start)
                         if day_rows.start == day_rows.stop:
                             continue
-                        mask = panel[day_rows]
-                        if mask.any():
-                            login_parts[seg_start + rel].append(
-                                (
-                                    (
-                                        block.base
-                                        + activity.sub_offsets[day_rows][mask]
-                                    ).astype(np.uint32),
-                                    activity.sub_ids[day_rows][mask],
-                                )
+                        rng = self._ua_rngs.get(block.index)
+                        if rng is None:
+                            rng = self._ua_rngs[block.index] = block_ua_rng(
+                                config.seed, block.index
                             )
-        final_kinds[block.index] = kind
-
-    window_ips: list[np.ndarray] = []
-    window_hits: list[np.ndarray] = []
-    for window in range(num_windows):
-        ips, hits = _partial_column(
-            window_ips_parts[window], window_hits_parts[window]
-        )
-        window_ips.append(ips)
-        window_hits.append(hits)
-
-    login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
-    if login_parts is not None:
-        login_trace = []
-        for day in range(num_days):
-            parts = login_parts[day]
-            if parts:
-                login_trace.append(
-                    (
-                        np.concatenate([ips for ips, _ in parts]),
-                        np.concatenate([users for _, users in parts]),
+                        ua_ids = sample_uas(
+                            rng,
+                            activity.sub_ids[day_rows],
+                            activity.sub_hits[day_rows],
+                            config.ua_sample_rate,
+                            bot_profile=(kind is PolicyKind.CRAWLER),
+                        )
+                        if ua_ids.size:
+                            self._ua_samples.setdefault(block.base, Counter()).update(
+                                ua_ids.tolist()
+                            )
+                if login_parts is not None and rows:
+                    panel = hash_coin(
+                        activity.sub_ids, LOGIN_PANEL_SALT, task.login_panel_rate
                     )
-                )
-            else:
-                login_trace.append(
-                    (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
-                )
+                    if panel.any():
+                        for rel in range(seg_end - seg_start):
+                            day_rows = activity.day_slice(rel)
+                            if day_rows.start == day_rows.stop:
+                                continue
+                            mask = panel[day_rows]
+                            if mask.any():
+                                login_parts[seg_start + rel].append(
+                                    (
+                                        (
+                                            block.base
+                                            + activity.sub_offsets[day_rows][mask]
+                                        ).astype(np.uint32),
+                                        activity.sub_ids[day_rows][mask],
+                                    )
+                                )
+            self._kinds[block.index] = kind
+            if stop < task.num_days:
+                # Only a horizon with days left needs the policy again.
+                self._policies[block.index] = policy
+        self.day = stop
 
-    # Chronological day order, blocks in block order within a day —
-    # the insertion order the day-major loop produced.
-    scan_states = {day: scan_by_day[day] for day in sorted(scan_by_day)}
+    def _reduce_segment(
+        self,
+        block: Block,
+        activity: DaysActivity,
+        seg_start: int,
+        seg_end: int,
+        day_factors: np.ndarray | None,
+    ) -> None:
+        """Fold one segment's subscriber rows into the window columns.
 
-    return ShardResult(
-        shard_index=task.shard_index,
-        window_ips=window_ips,
-        window_hits=window_hits,
-        ua_samples=ua_samples,
-        login_trace=login_trace,
-        scan_states=scan_states,
-        final_kinds=final_kinds,
-        addr_days=addr_days,
-    )
+        Day by day, as the reference loop: one ``bincount`` per
+        block-day is that day's address column and its nonzero cells
+        count toward ``addr_days``.  The day columns of a window are
+        summed before they are stored — integer hit counts far below
+        2**53, so the float64 sums are exact in any grouping.
+        """
+        window_days = self._task.window_days
+        day_starts = activity.day_starts.tolist()
+        column: np.ndarray | None = None
+        for day in range(seg_start, seg_end):
+            lo, hi = day_starts[day - seg_start], day_starts[day - seg_start + 1]
+            if lo < hi:
+                weights = activity.sub_hits[lo:hi]
+                if day_factors is not None:
+                    weights = perturb_hits(weights, day_factors[day])
+                day_column = np.bincount(
+                    activity.sub_offsets[lo:hi], weights=weights, minlength=BLOCK_SIZE
+                )
+                self.addr_days += int(np.count_nonzero(day_column))
+                column = day_column if column is None else column + day_column
+            if column is not None and (
+                (day + 1) % window_days == 0 or day + 1 == seg_end
+            ):
+                offsets = column.nonzero()[0]
+                if offsets.size:
+                    window = day // window_days
+                    self._window_ips_parts[window].append(
+                        (block.base + offsets).astype(np.uint32)
+                    )
+                    self._window_hits_parts[window].append(column[offsets])
+                column = None
+
+    def take_column(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reduce (and release) the accumulated parts of one window."""
+        ips_parts = self._window_ips_parts[window]
+        hits_parts = self._window_hits_parts[window]
+        self._window_ips_parts[window] = []
+        self._window_hits_parts[window] = []
+        return _partial_column(ips_parts, hits_parts)
+
+    def result(self) -> ShardResult:
+        """Every artifact of the days simulated so far, as a shard result."""
+        columns = [self.take_column(window) for window in range(len(self._window_ips_parts))]
+        login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
+        if self._login_parts is not None:
+            login_trace = [
+                (
+                    np.concatenate([ips for ips, _ in parts]),
+                    np.concatenate([users for _, users in parts]),
+                )
+                if parts
+                else (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
+                for parts in self._login_parts
+            ]
+
+        # Chronological day order, blocks in block order within a day —
+        # the insertion order the day-major loop produced.
+        scan_states = {day: self._scan_by_day[day] for day in sorted(self._scan_by_day)}
+
+        return ShardResult(
+            shard_index=self._task.shard_index,
+            window_ips=[ips for ips, _ in columns],
+            window_hits=[hits for _, hits in columns],
+            ua_samples=self._ua_samples,
+            login_trace=login_trace,
+            scan_states=scan_states,
+            final_kinds=dict(self._kinds),
+            addr_days=self.addr_days,
+        )
+
+
+def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
+    """The whole shard horizon in one kernel call (both observe modes)."""
+    kernel = _ShardKernel(task)
+    kernel.advance(task.num_days)
+    return kernel.result()
 
 
 def _simulate_shard_blocks_reference(task: ShardTask) -> ShardResult:
-    """The historical day-major scalar loop, kept as executable spec.
+    """The historical day-major scalar loop, kept as the test oracle.
 
-    The vectorized kernel (:func:`_simulate_shard_blocks`) must produce
-    bit-identical :class:`ShardResult` payloads to this loop for every
-    configuration — the property tests drive both and compare.  Slow;
-    never called in production paths.
+    The kernel (:class:`_ShardKernel`), in one call or split into many,
+    must produce bit-identical :class:`ShardResult` payloads to this
+    loop for every configuration — the property tests drive both and
+    compare.  Slow; no production path calls it.
     """
     config = task.config
     _validate_windowing(task.num_days, task.window_days)
@@ -825,24 +861,16 @@ def _simulate_shard_blocks_reference(task: ShardTask) -> ShardResult:
 
 
 class LiveShardSimulator:
-    """Day-major stepper yielding one window column per call.
+    """Window-at-a-time cursor over the batch kernel.
 
     The live-observatory service (``repro serve``) collects the horizon
     one interval at a time instead of all at once; this class is the
-    single-interval entry point into the engine.  It runs the exact
-    day-major loop of :func:`_simulate_shard_blocks_reference` — the
-    executable spec the vectorized kernel is pinned against — restricted
-    to the window-column artifact, so interval ``w`` of a live run is
-    bit-identical to window ``w`` of a batch
-    :func:`run_sharded_collection` over the same blocks:
-
-    - all policies are constructed up front (same private-stream draws
-      as both batch loops);
-    - directives are applied at the start of their day, last one wins;
-    - each block's policy advances exactly once per day via
-      ``day_activity``, and every stream is private to its block, so
-      stepping order across calls cannot perturb any other stream;
-    - the window flush is the same :func:`_partial_column` reduction.
+    single-interval entry point into the engine.  Each
+    :meth:`advance_window` call steps the same :class:`_ShardKernel`
+    batch collection runs over one window of days, and the kernel
+    carries every block's policy and kind across calls, so interval
+    ``w`` of a live run is bit-identical to window ``w`` of a batch
+    :func:`run_sharded_collection` over the same blocks.
 
     Catch-up after a crash is a replay from day zero: every stream is
     keyed by block seed, so re-stepping a fresh simulator through the
@@ -862,25 +890,22 @@ class LiveShardSimulator:
         directives: tuple[Directive, ...],
         perturbations: tuple[Perturbation, ...] = (),
     ) -> None:
-        _validate_windowing(num_days, window_days)
-        self._config = config
-        self._blocks = tuple(blocks)
+        self._kernel = _ShardKernel(
+            ShardTask(
+                shard_index=0,
+                config=config,
+                blocks=tuple(blocks),
+                num_days=num_days,
+                window_days=window_days,
+                ua_window=None,
+                scan_days=(),
+                login_panel_rate=0.0,
+                directives=tuple(directives),
+                perturbations=tuple(perturbations),
+            )
+        )
         self._num_days = num_days
         self._window_days = window_days
-        self._factor_tables = build_day_factor_tables(perturbations, num_days)
-        block_by_index = {block.index: block for block in self._blocks}
-        self._block_by_index = block_by_index
-        self._policies: dict[int, AddressPolicy] = {
-            block.index: block.make_policy(config) for block in self._blocks
-        }
-        self._directives_by_day: dict[int, list[tuple[int, str, int]]] = {}
-        for day, block_index, kind_value, salt in directives:
-            if block_index in block_by_index:
-                self._directives_by_day.setdefault(day, []).append(
-                    (block_index, kind_value, salt)
-                )
-        self._day = 0
-        self._addr_days = 0
 
     @property
     def num_windows(self) -> int:
@@ -888,16 +913,16 @@ class LiveShardSimulator:
 
     @property
     def windows_done(self) -> int:
-        return self._day // self._window_days
+        return self._kernel.day // self._window_days
 
     @property
     def exhausted(self) -> bool:
-        return self._day >= self._num_days
+        return self._kernel.day >= self._num_days
 
     @property
     def addr_days(self) -> int:
         """Active address-days observed so far (the perf counter)."""
-        return self._addr_days
+        return self._kernel.addr_days
 
     def advance_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Simulate the next ``window_days`` days; return their column.
@@ -912,52 +937,9 @@ class LiveShardSimulator:
                 f"collection horizon exhausted: all {self._num_days} days "
                 "have been simulated"
             )
-        pending_ips: list[np.ndarray] = []
-        pending_hits: list[np.ndarray] = []
-        for _ in range(self._window_days):
-            day = self._day
-            date = self._config.start_date + datetime.timedelta(days=day)
-            day_of_week = date.weekday()
-            traffic_scale = self._config.traffic_weekly_growth ** (day / 7.0)
-            for block_index, kind_value, salt in self._directives_by_day.get(
-                day, ()
-            ):
-                block = self._block_by_index[block_index]
-                self._policies[block_index] = block.make_policy(
-                    self._config, kind=PolicyKind(kind_value), salt=salt
-                )
-            for block in self._blocks:
-                activity = self._policies[block.index].day_activity(
-                    day_of_week, traffic_scale
-                )
-                if not activity.offsets.size:
-                    continue
-                day_factors = self._factor_tables.get(block.index)
-                if day_factors is None:
-                    pending_ips.append(
-                        block.base + activity.offsets.astype(np.uint32)
-                    )
-                    pending_hits.append(activity.hits)
-                    self._addr_days += int(activity.offsets.size)
-                else:
-                    # Same perturbed reduction as the reference kernel:
-                    # scenario factors shape the column, never a stream.
-                    per_offset = np.bincount(
-                        activity.sub_offsets,
-                        weights=perturb_hits(
-                            activity.sub_hits, day_factors[day]
-                        ),
-                        minlength=BLOCK_SIZE,
-                    )
-                    offsets = np.flatnonzero(per_offset)
-                    if offsets.size:
-                        pending_ips.append(
-                            block.base + offsets.astype(np.uint32)
-                        )
-                        pending_hits.append(per_offset[offsets])
-                        self._addr_days += int(offsets.size)
-            self._day += 1
-        return _partial_column(pending_ips, pending_hits)
+        window = self.windows_done
+        self._kernel.advance(self._kernel.day + self._window_days)
+        return self._kernel.take_column(window)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -170,15 +171,14 @@ class DaysActivity:
 
 
 def _day_starts(counts: Sequence[int]) -> np.ndarray:
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=starts[1:])
-    return starts
+    return np.array([0, *accumulate(counts)], dtype=np.int64)
 
 
 def _concat_rows(parts: Sequence[np.ndarray], dtype: type = np.int64) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=dtype)
+    if len(parts) == 1:
+        return parts[0]  # every part is a fresh array, never mutated later
     return np.concatenate(parts)
 
 
@@ -211,6 +211,7 @@ class AddressPolicy(abc.ABC):
     def assigned_offsets(self) -> np.ndarray:
         """Offsets currently holding an assignment (probe-relevant)."""
 
+    @abc.abstractmethod
     def days_activity(
         self,
         day_of_weeks: Sequence[int],
@@ -226,34 +227,11 @@ class AddressPolicy(abc.ABC):
         state, and ``snapshots[d]`` equals an
         :meth:`assigned_offsets` call made right after day ``d``.
 
-        This base implementation simply loops the scalar path — always
-        correct, never fast.  The built-in policies override it with
-        kernels that make bit-identical RNG calls day by day but defer
-        every deterministic computation (hit medians, log-normal
+        Implementations make bit-identical RNG calls day by day but
+        defer every deterministic computation (hit medians, log-normal
         ``exp``, traffic scaling, aggregation) to single array ops
         over the whole horizon.
         """
-        _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        hits: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        for day, day_of_week in enumerate(day_of_weeks):
-            activity = self.day_activity(int(day_of_week), float(traffic_scales[day]))
-            counts.append(int(activity.sub_ids.size))
-            ids.append(activity.sub_ids)
-            hits.append(activity.sub_hits)
-            offs.append(activity.sub_offsets)
-            if day in wanted:
-                snapshots[day] = self.assigned_offsets().copy()
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=_concat_rows(hits),
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
 
     def _prepare_days(
         self,

@@ -719,9 +719,9 @@ def perturb_hits(
     ``factor > 0`` keeps the subscriber visible with at least one
     daily hit (``max(1, floor(hits * factor))``); ``factor <= 0``
     silences the row entirely (an outage).  Products and floors of
-    integers this size are exact in float64, so the batch, reference,
-    and live kernels computing this row-by-row in different groupings
-    produce bit-identical window columns.
+    integers this size are exact in float64, so the batch and reference
+    kernels computing this row-by-row in different groupings produce
+    bit-identical window columns.
     """
     factor_array = np.asarray(factors, dtype=np.float64)
     scaled = hits.astype(np.float64) * factor_array

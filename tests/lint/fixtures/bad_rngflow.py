@@ -10,8 +10,8 @@ def _relabel(rng, rows):
 
 
 def apply_event(tables, rng, rows):
-    # The draw happens two calls down, in _jitter: D107 cannot see it,
-    # F501 follows the call graph and reports the draw site there.
+    # The draw happens two calls down, in _jitter: F501 follows the
+    # call graph and reports the draw site there.
     return _relabel(rng, rows)
 
 

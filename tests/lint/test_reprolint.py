@@ -58,7 +58,7 @@ class TestRuleRegistry:
     def test_all_families_registered(self):
         ids = {rule.rule_id for rule in all_rules()}
         assert ids == {
-            "D101", "D102", "D103", "D104", "D105", "D106", "D107",
+            "D101", "D102", "D103", "D104", "D105", "D106",
             "A201", "A202", "A203",
             "E301", "E302", "E303",
             "N401", "N402", "N403",
@@ -102,31 +102,32 @@ class TestDeterminismRules:
 
 
 class TestScenarioRule:
-    """D107: the scenario apply path must never draw from an RNG."""
+    """F501 at call depth 0: a draw written directly in a scenario seam."""
 
     def test_bad_fixture_exact_findings(self):
-        assert triples(findings_for("bad_scenario.py")) == [
-            ("D107", 6),
-            ("D107", 10),
-            ("D107", 11),
-            ("D107", 15),
+        assert triples(project_run("bad_scenario.py").findings) == [
+            ("F501", 6),
+            ("F501", 10),
+            ("F501", 11),
+            ("F501", 15),
         ]
 
     def test_justified_suppression_waives_the_draw(self):
         # perturb_with_waiver's draw (line 20) carries a justified
         # disable directive and must not appear above.
-        lines = [f.line for f in findings_for("bad_scenario.py")]
+        lines = [f.line for f in project_run("bad_scenario.py").findings]
         assert 20 not in lines
 
     def test_good_fixture_clean(self):
-        assert findings_for("good_scenario.py") == []
+        assert project_run("good_scenario.py").findings == []
 
     def test_scoped_to_the_scenario_module(self):
-        # Without --all-rules the fixture path is out of scope for
-        # D107 (the waiver directive then reports as unused — X002 —
-        # which is exactly the engine noticing the rule didn't run).
-        findings = findings_for("bad_scenario.py", all_rules_flag=False)
-        assert [f for f in findings if f.rule == "D107"] == []
+        # Without --all-rules the fixture's functions are not seams:
+        # only src/repro/sim/scenario.py defines them.
+        result = run(
+            [str(FIXTURES / "bad_scenario.py")], all_rules_everywhere=False
+        )
+        assert [f for f in result.findings if f.rule == "F501"] == []
 
 
 class TestAtomicityRules:

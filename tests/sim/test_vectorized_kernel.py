@@ -4,8 +4,9 @@ The engine's batched block-major kernel (and each policy's batched
 ``days_activity``) must be *indistinguishable* from the historical
 scalar day-major loop: same rows, same RNG end state, same snapshots,
 same ShardResult — for every policy kind, across mid-stream policy
-swaps, and at UA-window boundaries.  Hypothesis drives the state space;
-the reference kernel (kept as executable spec) provides the oracle.
+swaps, at UA-window boundaries, and however the horizon is split into
+kernel calls.  Hypothesis drives the state space; the reference kernel
+(kept as the test oracle) provides the expected results.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.errors import ConfigError
 from repro.sim import InternetPopulation, SimulationConfig
 from repro.sim.engine import (
     ShardTask,
+    _ShardKernel,
     _simulate_shard_blocks,
     _simulate_shard_blocks_reference,
     _validate_windowing,
@@ -178,6 +180,9 @@ class TestKernelMatchesReference:
             )
         )
         login_rate = data.draw(st.sampled_from([0.0, 0.3]))
+        splits = data.draw(
+            st.sets(st.integers(min_value=1, max_value=num_days - 1), max_size=3)
+        )
 
         task = ShardTask(
             shard_index=0,
@@ -190,9 +195,37 @@ class TestKernelMatchesReference:
             login_panel_rate=login_rate,
             directives=tuple(directives),
         )
-        assert_shard_results_equal(
-            _simulate_shard_blocks_reference(task), _simulate_shard_blocks(task)
+        reference = _simulate_shard_blocks_reference(task)
+        assert_shard_results_equal(reference, _simulate_shard_blocks(task))
+        # The kernel is resumable: splitting the horizon into several
+        # calls, mid-window or not, is the same run.
+        kernel = _ShardKernel(task)
+        for stop in [*sorted(splits), num_days]:
+            kernel.advance(stop)
+        assert_shard_results_equal(reference, kernel.result())
+
+    def test_day_by_day_calls_carry_every_stream(self, world):
+        # One call per day, through a directive, with UA sampling,
+        # scans, and the login panel all drawing across the calls.
+        # Gateway blocks only add run time: their traffic is huge.
+        blocks = tuple(b for b in world.blocks if b.kind is not PolicyKind.GATEWAY)
+        task = ShardTask(
+            shard_index=0,
+            config=world.config,
+            blocks=blocks,
+            num_days=6,
+            window_days=3,
+            ua_window=(0, 5),
+            scan_days=(2, 4),
+            login_panel_rate=0.3,
+            directives=((3, blocks[0].index, PolicyKind.STATIC.value, 7),),
         )
+        whole = _simulate_shard_blocks(task)
+        kernel = _ShardKernel(task)
+        for stop in range(1, task.num_days + 1):
+            kernel.advance(stop)
+        assert len(whole.ua_samples) > 10
+        assert_shard_results_equal(whole, kernel.result())
 
 
 class TestScanSnapshotIsolation:

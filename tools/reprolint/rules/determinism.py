@@ -26,16 +26,8 @@ collection code paths (``src/repro/sim``, ``src/repro/core``):
   kernel delegates all per-day draws to the policies' batched
   ``days_activity`` kernels; a scalar draw loop reintroduced at the
   engine layer is almost always the interpreted hot path the
-  vectorization removed.  Legitimate cases (e.g. a reference kernel
-  kept as executable spec) carry a justified
+  vectorization removed.  Legitimate cases carry a justified
   ``# reprolint: disable=D106 -- why`` suppression.
-- D107 — an RNG draw inside the scenario library's apply path
-  (``perturb*``/``apply*`` functions in ``src/repro/sim/scenario.py``).
-  The exogenous-event seam keeps any timeline bit-identical at any
-  worker count only because perturbations are applied as *pure
-  functions* of precompiled tables; randomness is allowed when a
-  scenario is compiled (salts, hash-coin selection), never when it is
-  applied.
 """
 
 from __future__ import annotations
@@ -248,45 +240,3 @@ class ScalarLoopRngDraw(Rule):
                     "days_activity kernels, or justify with "
                     "'# reprolint: disable=D106 -- why'",
                 )
-
-
-@rule
-class ScenarioApplyRngDraw(Rule):
-    rule_id = "D107"
-    summary = "scenario perturbation/apply code draws from an RNG"
-    scope = ("src/repro/sim/scenario.py",)
-
-    def check(self, module) -> Iterator[Finding]:
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stem = func.name.lstrip("_")
-            if not stem.startswith(("perturb", "apply")):
-                continue
-            for node in walk_calls(func):
-                name = call_name(node)
-                if name is None:
-                    continue
-                receiver, _, method = name.rpartition(".")
-                receiver = receiver.lower()
-                parts = name.split(".")
-                is_draw = (
-                    _is_default_rng(node)
-                    or (parts[0] == "random" and len(parts) > 1)
-                    or (len(parts) >= 3 and parts[-2] == "random")
-                    or (
-                        method in _GENERATOR_DRAWS
-                        and ("rng" in receiver or "generator" in receiver)
-                    )
-                )
-                if is_draw:
-                    yield self.finding(
-                        module, node.lineno, node.col_offset,
-                        f"{name}() inside {func.name}(): the scenario "
-                        "apply path must be a pure function of the "
-                        "precompiled perturbation tables — an RNG draw "
-                        "here shifts per-block stream call order and "
-                        "breaks the any-workers bit-identical contract "
-                        "(compile-time draws belong in compile_scenario "
-                        "helpers, not perturb*/apply* functions)",
-                    )

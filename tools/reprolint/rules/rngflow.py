@@ -3,16 +3,17 @@
 The collection engine's bit-identity contract (DESIGN.md, "Parallel
 collection & determinism contract") holds only if every per-block RNG
 stream sees the *same draws in the same order* for any worker count.
-The syntactic D106/D107 rules catch direct violations; this family
-runs on the whole-program call graph and catches the ones hidden
-behind helper calls:
+The syntactic D106 rule catches direct draw loops in the engine; this
+family runs on the whole-program call graph and also catches the
+violations hidden behind helper calls:
 
-- F501 — an RNG draw *transitively reachable* from a scenario seam
-  (``perturb*``/``apply*`` in ``src/repro/sim/scenario.py``).  D107
-  flags draws written directly inside a seam; F501 follows the call
-  graph to any depth and reports the draw site with the call chain as
-  related spans.  The apply path must stay a pure function of the
-  precompiled tables.
+- F501 — an RNG draw reachable from a scenario seam
+  (``perturb*``/``apply*`` in ``src/repro/sim/scenario.py``), written
+  directly inside the seam or any number of calls below it.  The draw
+  site is reported with the call chain as related spans.  The apply
+  path must stay a pure function of the precompiled tables: randomness
+  is allowed when a scenario is compiled (salts, hash-coin selection),
+  never when it is applied.
 - F502 — branch-divergent draw counts inside a kernel loop in
   ``src/repro/sim/engine.py``: an ``if`` whose branches perform
   different numbers of draws (directly or via calls into drawing
@@ -233,8 +234,8 @@ class SeamReachableDraw(ProjectRule):
         for seam in _seam_functions(project):
             reachable = graph.reachable(seam.qualname)
             for qualname, (depth, _parent) in sorted(reachable.items()):
-                if depth == 0 or qualname not in draws:
-                    continue  # depth 0 is D107's (direct-draw) domain
+                if qualname not in draws:
+                    continue
                 target = project.functions[qualname]
                 if not self.in_scope(project, target.path):
                     continue

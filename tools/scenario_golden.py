@@ -13,7 +13,10 @@ diffs the results against the pins:
   gate at 1 and 4 workers;
 - ``--resume-check`` additionally kills each collection mid-run
   (deterministic injected worker faults) and resumes it from its
-  checkpoints, asserting the resumed dataset hashes identically.
+  checkpoints, asserting the resumed dataset hashes identically.  It
+  also collects each scenario through the live service (one-day
+  ticks, as ``repro serve``), then restarts on the finished store and
+  replays it with ``catch_up()``; both must hash identically too.
 
 Usage::
 
@@ -39,8 +42,9 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core.detect import scenario_signature  # noqa: E402
 from repro.core.io import atomic_write_text  # noqa: E402
-from repro.errors import CollectionError  # noqa: E402
+from repro.errors import CollectionError, DatasetError  # noqa: E402
 from repro.obs.manifest import dataset_digest  # noqa: E402
+from repro.serve import ObservatoryService  # noqa: E402
 from repro.sim import (  # noqa: E402
     CDNObservatory,
     FaultInjection,
@@ -125,7 +129,42 @@ def collect_signature(
                 scenario=entry.scenario,
             )
         actual["resume_dataset_sha256"] = dataset_digest(resumed.dataset)
+        actual.update(_serve_pass(entry, config, num_days))
     return actual
+
+
+def _serve_pass(
+    entry: CatalogEntry, config: SimulationConfig, num_days: int
+) -> dict:
+    """Collect through the live service, then restart and catch up.
+
+    The restart finds the store complete, so its ``run()`` is just
+    ``catch_up()``: every interval is replayed and checked against the
+    stored column.  A mismatch (``DatasetError``) or a partial replay
+    is returned as ``catchup_error``.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        with ObservatoryService(
+            config, num_days=num_days, store_root=root, scenario=entry.scenario
+        ) as service:
+            served = service.run()
+        error = None
+        try:
+            with ObservatoryService(
+                config, num_days=num_days, store_root=root, scenario=entry.scenario
+            ) as service:
+                restarted = service.run()
+            if restarted.replayed != restarted.total:
+                error = (
+                    f"catch-up replayed {restarted.replayed} of "
+                    f"{restarted.total} intervals"
+                )
+        except DatasetError as exc:
+            error = f"catch-up replay failed: {exc}"
+    return {
+        "serve_dataset_sha256": served.dataset_sha256,
+        "catchup_error": error,
+    }
 
 
 def _diff_lines(expected, actual, prefix: str = "") -> list[str]:
@@ -170,7 +209,8 @@ def main(argv=None) -> int:
         "--resume-check",
         action="store_true",
         help="also kill each collection mid-run and resume it from "
-        "checkpoints; the resumed dataset must hash identically",
+        "checkpoints, and collect it through the live service and its "
+        "catch-up replay; every dataset must hash identically",
     )
     parser.add_argument(
         "--update",
@@ -212,13 +252,18 @@ def main(argv=None) -> int:
                 "dataset_sha256": actual["dataset_sha256"],
                 "signature": actual["signature"],
             }))
-        if args.resume_check and (
-            actual["resume_dataset_sha256"] != actual["dataset_sha256"]
-        ):
-            problems.append(
-                f"  resumed dataset {actual['resume_dataset_sha256']} != "
-                f"uninterrupted {actual['dataset_sha256']}"
-            )
+        if args.resume_check:
+            for key, label in (
+                ("resume_dataset_sha256", "resumed"),
+                ("serve_dataset_sha256", "served"),
+            ):
+                if actual[key] != actual["dataset_sha256"]:
+                    problems.append(
+                        f"  {label} dataset {actual[key]} != "
+                        f"uninterrupted {actual['dataset_sha256']}"
+                    )
+            if actual["catchup_error"]:
+                problems.append(f"  {actual['catchup_error']}")
         report[entry.scenario.name] = {
             "path": path,
             "expected": entry.expect,
