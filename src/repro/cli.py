@@ -624,12 +624,9 @@ def _analyze_store(store, args: argparse.Namespace) -> None:
     """Dispatch analyses over an out-of-core store.
 
     Streamed analyses (churn, metrics) never materialize the dataset;
-    the rest fall back through ``store.to_dataset()``, built at most
-    once even when running "all".
+    the rest, and ``--detect-events``, fall back through
+    ``store.to_dataset()``, built at most once per command.
     """
-    if args.analysis in _STREAMED_ANALYSES:
-        _STREAMED_ANALYSES[args.analysis](store, args)
-        return
     names = list(_ANALYSES) if args.analysis == "all" else [args.analysis]
     dataset = None
     for name in names:
@@ -639,6 +636,8 @@ def _analyze_store(store, args: argparse.Namespace) -> None:
         if dataset is None:
             dataset = store.to_dataset()
         _ANALYSES[name](dataset, args)
+    if args.detect_events:
+        _analyze_events(store.to_dataset() if dataset is None else dataset, args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -764,8 +763,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if os.path.isdir(args.dataset):
             with open_store(args.dataset) as store:
                 _analyze_store(store, args)
-                if args.detect_events:
-                    _analyze_events(store.to_dataset(), args)
         else:
             dataset = load_dataset(args.dataset)
             if args.analysis == "all":

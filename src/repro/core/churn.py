@@ -14,12 +14,13 @@ The headline findings these functions reproduce:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
+from repro.core.index import kway_union_columns
 from repro.core.windows import (
     PAPER_WINDOW_SIZES,
     aggregate_to_window,
@@ -173,50 +174,40 @@ def churn_by_window_size(
     return out
 
 
+def _sum_transitions(
+    per_shard: Sequence[Sequence[TransitionChurn]], num_transitions: int
+) -> list[TransitionChurn]:
+    """Per-transition sums of churn counted over disjoint address ranges.
+
+    Up/down events and active counts decompose over disjoint address
+    ranges, so summing each transition's counts over the store's shards
+    reproduces the count over the whole address space exactly (and a
+    store without shards has only zero counts).
+    """
+    totals = np.zeros((num_transitions, 4), dtype=np.int64)
+    for transitions in per_shard:
+        totals += np.array([astuple(t) for t in transitions], dtype=np.int64)
+    return [TransitionChurn(*(int(count) for count in row)) for row in totals]
+
+
 def transition_churn_streamed(store: "DatasetStore") -> list[TransitionChurn]:
     """Churn for every consecutive window pair, streamed over a store.
 
     Produces exactly ``transition_churn(store.to_dataset())`` — the
-    in-memory function is the reference spec — in constant memory:
-    up/down events between two windows decompose over the store's
-    disjoint address ranges, so each shard folds its counts into the
-    per-transition accumulators while holding only two columns at a
-    time.
+    in-memory function is the reference spec — in constant memory: a
+    fresh :class:`IncrementalChurn` folds each shard's columns, and the
+    per-shard counts are summed per transition (:func:`_sum_transitions`).
     """
     if store.num_snapshots < 2:
         raise DatasetError("need at least two windows to measure churn")
-    num_snapshots = store.num_snapshots
     with obs.span("analyze/churn/transitions_streamed"):
-        ups = np.zeros(num_snapshots - 1, dtype=np.int64)
-        downs = np.zeros(num_snapshots - 1, dtype=np.int64)
-        active = np.zeros(num_snapshots, dtype=np.int64)
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-fold
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                before = shard.columns(0)[0]
-                active[0] += before.size
-                for position in range(1, num_snapshots):
-                    after = shard.columns(position)[0]
-                    active[position] += after.size
-                    ups[position - 1] += np.setdiff1d(
-                        after, before, assume_unique=True
-                    ).size
-                    downs[position - 1] += np.setdiff1d(
-                        before, after, assume_unique=True
-                    ).size
-                    before = after
-            finally:
-                shard.close()
-        out = [
-            TransitionChurn(
-                up_count=int(ups[position]),
-                down_count=int(downs[position]),
-                active_before=int(active[position]),
-                active_after=int(active[position + 1]),
-            )
-            for position in range(num_snapshots - 1)
-        ]
+        per_shard = []
+        for shard in store.iter_shards():
+            fold = IncrementalChurn()
+            for position in range(store.num_snapshots):
+                fold.update(shard.columns(position)[0])
+            per_shard.append(fold.transitions())
+        out = _sum_transitions(per_shard, store.num_snapshots - 1)
         obs.add("analyze_churn_transitions_total", len(out))
     return out
 
@@ -234,11 +225,11 @@ def churn_by_window_size_streamed(
     """Streamed equivalent of :func:`churn_by_window_size` over a store.
 
     Same filtering, truncation, and error contract as the in-memory
-    sweep; per shard, every window size's unions are built from that
-    shard's daily columns (bounded by one shard's data) and the
-    up/down/active counts folded into global accumulators — window
-    unions restricted to disjoint address ranges partition the full
-    window union, so every count matches the reference exactly.
+    sweep.  Per shard, every window size's unions are built from that
+    shard's daily columns (bounded by one shard's data) and folded by
+    a fresh :class:`IncrementalChurn`; window unions restricted to
+    disjoint address ranges partition the full window union, so the
+    per-shard counts sum to the reference exactly.
     """
     if store.window_days != 1:
         raise DatasetError("the window-size sweep expects a daily dataset")
@@ -256,76 +247,42 @@ def churn_by_window_size_streamed(
             f"no usable window sizes in {list(candidates)}: every size leaves "
             f"fewer than two windows over {num_days} days"
         )
-    empty = np.empty(0, dtype=np.uint32)
-    ups: dict[int, np.ndarray] = {}
-    downs: dict[int, np.ndarray] = {}
-    active: dict[int, np.ndarray] = {}
-    for size in sizes:
-        num_windows = num_days // size
-        ups[size] = np.zeros(num_windows - 1, dtype=np.int64)
-        downs[size] = np.zeros(num_windows - 1, dtype=np.int64)
-        active[size] = np.zeros(num_windows, dtype=np.int64)
+    per_shard: dict[int, list[list[TransitionChurn]]] = {size: [] for size in sizes}
     with obs.span("analyze/churn/window_sweep_streamed"):
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-sweep
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                columns = [
-                    shard.columns(position)[0] for position in range(num_days)
-                ]
-                for size in sizes:
-                    num_windows = num_days // size
-                    previous: np.ndarray | None = None
-                    for window in range(num_windows):
-                        parts = [
-                            column
-                            for column in columns[window * size : (window + 1) * size]
-                            if column.size
-                        ]
-                        if not parts:
-                            union = empty
-                        elif len(parts) == 1:
-                            union = parts[0]
-                        else:
-                            union = np.unique(np.concatenate(parts))  # bounded: one shard
-                        active[size][window] += union.size
-                        if previous is not None:
-                            ups[size][window - 1] += np.setdiff1d(
-                                union, previous, assume_unique=True
-                            ).size
-                            downs[size][window - 1] += np.setdiff1d(
-                                previous, union, assume_unique=True
-                            ).size
-                        previous = union
-            finally:
-                shard.close()
-    out: dict[int, ChurnSummary] = {}
-    for size in sizes:
-        transitions = tuple(
-            TransitionChurn(
-                up_count=int(ups[size][window]),
-                down_count=int(downs[size][window]),
-                active_before=int(active[size][window]),
-                active_after=int(active[size][window + 1]),
-            )
-            for window in range(num_days // size - 1)
+        for shard in store.iter_shards():
+            columns = [shard.columns(position) for position in range(num_days)]
+            for size in sizes:
+                fold = IncrementalChurn()
+                for window in range(num_days // size):
+                    group = columns[window * size : (window + 1) * size]
+                    fold.update(
+                        kway_union_columns(
+                            [ips for ips, _hits in group],
+                            [hits for _ips, hits in group],
+                        )[0]
+                    )
+                per_shard[size].append(fold.transitions())
+    return {
+        size: ChurnSummary(
+            size, tuple(_sum_transitions(per_shard[size], num_days // size - 1))
         )
-        out[size] = ChurnSummary(size, transitions)
-    return out
+        for size in sizes
+    }
 
 
 class IncrementalChurn:
-    """Transition churn maintained one appended window at a time.
+    """Transition churn folded one appended window at a time.
 
-    The live-observatory service's incremental twin of
-    :func:`transition_churn`: each :meth:`update` folds one new window
-    column against the previously appended one, so a scheduler tick
-    costs two set differences instead of a full re-walk of the store.
-    Columns are sorted unique ``uint32`` arrays (every snapshot's
-    shape), so the same ``np.setdiff1d(..., assume_unique=True)``
-    counts the batch and streamed functions use apply verbatim — the
-    property suite pins :meth:`transitions` equal to the batch
-    reference after every prefix of appended intervals.
+    The one fold behind both out-of-core paths: the live-observatory
+    service feeds it one interval per scheduler tick, and the streamed
+    functions above feed a fresh one per store shard.  Each
+    :meth:`update` counts one new window column against the previously
+    appended one.  Columns are sorted unique ``uint32`` arrays (every
+    snapshot's shape), so one binary search of the new column into the
+    previous one counts the addresses present in both; up and down
+    events are the two columns' sizes less that overlap.  The property
+    suites pin :meth:`transitions` equal to the batch reference
+    (:func:`transition_churn`) after every prefix of appended intervals.
     """
 
     def __init__(self) -> None:
@@ -341,14 +298,15 @@ class IncrementalChurn:
         column = np.asarray(ips, dtype=np.uint32)
         previous = self._previous
         if previous is not None:
+            both = 0
+            if previous.size and column.size:
+                found = np.searchsorted(previous, column)
+                found[found == previous.size] = 0
+                both = int(np.count_nonzero(previous[found] == column))
             self._transitions.append(
                 TransitionChurn(
-                    up_count=int(
-                        np.setdiff1d(column, previous, assume_unique=True).size
-                    ),
-                    down_count=int(
-                        np.setdiff1d(previous, column, assume_unique=True).size
-                    ),
+                    up_count=int(column.size) - both,
+                    down_count=int(previous.size) - both,
                     active_before=int(previous.size),
                     active_after=int(column.size),
                 )

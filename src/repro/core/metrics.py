@@ -111,81 +111,55 @@ def compute_block_metrics_streamed(store: "DatasetStore") -> BlockMetrics:
     the in-memory function above is the executable reference spec —
     without ever materializing the dataset: per-/24 quantities
     decompose over the store's disjoint, 256-aligned shard ranges, so
-    each shard contributes a complete, final slice of the result and
-    peak memory is one shard's columns plus the per-block output.
+    an :class:`IncrementalBlockMetrics` fed one shard's columns yields
+    a complete, final slice of the result.  STU is element-wise over
+    integer counts with the same divisor in every slice, so the slices
+    concatenate exactly.  Peak memory is one shard's columns plus the
+    per-block state and output.
     """
     with obs.span("analyze/block_metrics_streamed"):
-        num_snapshots = store.num_snapshots
-        bases_parts: list[np.ndarray] = []
-        fd_parts: list[np.ndarray] = []
-        activity_parts: list[np.ndarray] = []
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-fold
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                columns = [
-                    shard.columns(position)[0] for position in range(num_snapshots)
-                ]
-                nonempty = [ips for ips in columns if ips.size]
-                if not nonempty:
-                    continue
-                if len(nonempty) == 1:
-                    union = nonempty[0]
-                else:
-                    union = np.unique(np.concatenate(nonempty))  # bounded: one shard
-                shard_bases, ip_block_index = np.unique(
-                    union & np.uint32(0xFFFFFF00), return_inverse=True
-                )
-                fd = np.bincount(ip_block_index, minlength=shard_bases.size)
-                activity = np.zeros(shard_bases.size, dtype=np.int64)
-                for ips in columns:
-                    if ips.size == 0:
-                        continue
-                    block_idx = np.searchsorted(
-                        shard_bases, ips & np.uint32(0xFFFFFF00)
-                    )
-                    activity += np.bincount(block_idx, minlength=shard_bases.size)
-                bases_parts.append(shard_bases)
-                fd_parts.append(fd.astype(np.int64))
-                activity_parts.append(activity)
-            finally:
-                shard.close()
-        if not bases_parts:
+        parts: list[BlockMetrics] = []
+        for shard in store.iter_shards():
+            fold = IncrementalBlockMetrics(store.window_days)
+            for position in range(store.num_snapshots):
+                fold.update(shard.columns(position)[0])
+            if fold.num_blocks:
+                parts.append(fold.result())
+        if not parts:
             raise DatasetError("store has no active addresses")
-        bases = np.concatenate(bases_parts)  # O(active /24s), not O(addresses)
-        fd_all = np.concatenate(fd_parts)  # O(active /24s), not O(addresses)
-        activity_all = np.concatenate(activity_parts)  # O(active /24s)
-        stu = activity_all / (BLOCK_SIZE * num_snapshots)
-        obs.add("analyze_blocks_total", int(bases.size))
-        return BlockMetrics(
-            bases=bases,
-            filling_degree=fd_all,
-            stu=stu,
+        result = BlockMetrics(
+            bases=np.concatenate([part.bases for part in parts]),  # O(active /24s)
+            filling_degree=np.concatenate(  # O(active /24s)
+                [part.filling_degree for part in parts]
+            ),
+            stu=np.concatenate([part.stu for part in parts]),  # O(active /24s)
             window_days=store.total_days,
         )
+        obs.add("analyze_blocks_total", result.num_blocks)
+        return result
 
 
 class IncrementalBlockMetrics:
-    """FD/STU maintained one appended snapshot at a time.
+    """FD/STU folded one appended snapshot at a time.
 
-    The live-observatory service commits one interval per scheduler
-    tick; recomputing :func:`compute_block_metrics_streamed` over the
-    whole store every tick would make each tick cost O(history).  This
-    accumulator folds a single new window column into running state —
-    the address union (FD) and per-/24 activity totals (STU) — and
-    :meth:`result` derives exactly what the batch functions compute
-    over the same snapshots:
+    The one fold behind both out-of-core paths: the live-observatory
+    service feeds it one interval per scheduler tick, and
+    :func:`compute_block_metrics_streamed` feeds a fresh one per store
+    shard.  The running state is per /24 only, never per address:
 
-    - the union is maintained with ``np.union1d`` over sorted unique
-      columns, so FD counts each address once regardless of arrival
-      order;
-    - per-/24 activity adds this column's integer address counts into
-      ``int64`` totals — identical integers to the batch bincounts, so
-      the one ``activity / (256 * n)`` division at :meth:`result` time
-      produces bit-identical ``float64`` STU values.
+    - a ``(blocks, 256)`` presence map — row *r*, column *o* is True
+      once address ``bases[r] + o`` has been active — whose row counts
+      are the FD, so an address seen on several days counts once;
+    - per-/24 ``int64`` activity totals — the same integers as the
+      batch bincounts, so the one ``activity / (256 * n)`` division at
+      :meth:`result` time produces bit-identical ``float64`` STU.
+
+    An update costs one pass over the column plus, only when the
+    column brings a /24 not seen before, one re-index of the per-/24
+    state; nothing grows with the address history.
 
     The batch functions stay the executable reference spec; the
-    property suite pins ``result()`` equal to them after every prefix
+    property suites pin ``result()`` equal to them after every prefix
     of appended intervals.
     """
 
@@ -193,8 +167,8 @@ class IncrementalBlockMetrics:
         if window_days < 1:
             raise DatasetError(f"bad window length: {window_days}")
         self._window_days = window_days
-        self._union = np.empty(0, dtype=np.uint32)
         self._bases = np.empty(0, dtype=np.uint32)
+        self._presence = np.zeros((0, BLOCK_SIZE), dtype=bool)
         self._activity = np.empty(0, dtype=np.int64)
         self._num_snapshots = 0
 
@@ -202,36 +176,52 @@ class IncrementalBlockMetrics:
     def num_snapshots(self) -> int:
         return self._num_snapshots
 
+    @property
+    def num_blocks(self) -> int:
+        """Distinct /24s active in any snapshot folded in so far."""
+        return int(self._bases.size)
+
     def update(self, ips: np.ndarray) -> None:
         """Fold one window column (sorted unique ``uint32``) in."""
         column = np.asarray(ips, dtype=np.uint32)
         self._num_snapshots += 1
         if column.size == 0:
             return
-        self._union = np.union1d(self._union, column)
-        new_bases, counts = np.unique(
-            column & np.uint32(0xFFFFFF00), return_counts=True
-        )
-        merged = np.union1d(self._bases, new_bases)
-        activity = np.zeros(merged.size, dtype=np.int64)
-        activity[np.searchsorted(merged, self._bases)] = self._activity
-        activity[np.searchsorted(merged, new_bases)] += counts
-        self._bases = merged
-        self._activity = activity
+        blocks = column & np.uint32(0xFFFFFF00)
+        # The column is sorted, so each /24 is one contiguous run.
+        run_start = np.empty(blocks.size, dtype=bool)
+        run_start[0] = True
+        np.not_equal(blocks[1:], blocks[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        new_bases = blocks[starts]
+        counts = np.diff(starts, append=blocks.size)
+        rows = np.searchsorted(self._bases, new_bases)
+        if rows[-1] == self._bases.size or not np.array_equal(
+            self._bases[rows], new_bases
+        ):
+            self._reindex(new_bases)
+            rows = np.searchsorted(self._bases, new_bases)
+        self._activity[rows] += counts
+        self._presence[np.repeat(rows, counts), column & np.uint32(0xFF)] = True
+
+    def _reindex(self, new_bases: np.ndarray) -> None:
+        """Grow the per-/24 state to the union of known and new bases."""
+        bases = np.union1d(self._bases, new_bases)  # O(active /24s)
+        keep = np.searchsorted(bases, self._bases)
+        presence = np.zeros((bases.size, BLOCK_SIZE), dtype=bool)
+        presence[keep] = self._presence
+        activity = np.zeros(bases.size, dtype=np.int64)
+        activity[keep] = self._activity
+        self._bases, self._presence, self._activity = bases, presence, activity
 
     def result(self) -> BlockMetrics:
         """The metrics over every snapshot folded in so far."""
-        if self._union.size == 0:
+        if self._bases.size == 0:
             raise DatasetError("dataset has no active addresses")
-        bases, ip_block_index = np.unique(
-            self._union & np.uint32(0xFFFFFF00), return_inverse=True
-        )
-        fd = np.bincount(ip_block_index, minlength=bases.size)
-        stu = self._activity / (BLOCK_SIZE * self._num_snapshots)
         return BlockMetrics(
-            bases=bases,
-            filling_degree=fd.astype(np.int64),
-            stu=stu,
+            bases=self._bases.copy(),
+            filling_degree=self._presence.sum(axis=1, dtype=np.int64),
+            stu=self._activity / (BLOCK_SIZE * self._num_snapshots),
             window_days=self._num_snapshots * self._window_days,
         )
 

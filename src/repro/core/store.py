@@ -580,6 +580,19 @@ class DatasetStore:
         """Total shard file bytes, per the manifest."""
         return sum(shard.info.nbytes for shard in self.shards)
 
+    def iter_shards(self) -> Iterator[StoreShard]:
+        """Each shard in ascending address order, closed once passed.
+
+        The one per-shard loop of every streamed pass: the ``finally``
+        also runs when the consumer raises mid-shard or abandons the
+        iteration, so no shard's reader outlives its turn.
+        """
+        for shard in self.shards:
+            try:
+                yield shard
+            finally:
+                shard.close()
+
     def active_block_bases(self) -> NDArray[np.int64]:
         """Sorted /24 bases with any activity, streamed shard by shard.
 
@@ -589,21 +602,14 @@ class DatasetStore:
         (O(active /24s), not O(addresses)).
         """
         parts: list[NDArray[np.int64]] = []
-        for shard in self.shards:
-            try:
-                masked = [
-                    (shard.columns(index)[0] & np.uint32(0xFFFFFF00)).astype(
-                        np.int64
-                    )
-                    for index in range(self.num_snapshots)
-                ]
-                nonempty = [blocks for blocks in masked if blocks.size]
-                if nonempty:
-                    parts.append(
-                        np.unique(np.concatenate(nonempty))  # bounded: one shard
-                    )
-            finally:
-                shard.close()
+        for shard in self.iter_shards():
+            masked = [
+                (shard.columns(index)[0] & np.uint32(0xFFFFFF00)).astype(np.int64)
+                for index in range(self.num_snapshots)
+            ]
+            nonempty = [blocks for blocks in masked if blocks.size]
+            if nonempty:
+                parts.append(np.unique(np.concatenate(nonempty)))  # bounded: one shard
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)  # O(active /24s), not O(addresses)
@@ -645,21 +651,15 @@ class DatasetStore:
         from repro.core.index import iter_union_runs
 
         def groups() -> Iterator[tuple[list[NDArray[Any]], list[NDArray[Any]]]]:
-            for shard in self.shards:
-                # finally, not close-after-yield: an abandoned generator
-                # only runs finally blocks, and an exception mid-read
-                # must not leak the open reader.
-                try:
-                    ips_parts: list[NDArray[Any]] = []
-                    hits_parts: list[NDArray[Any]] = []
-                    for index in range(self.num_snapshots):
-                        ips, hits = shard.columns(index)
-                        if ips.size:
-                            ips_parts.append(ips)
-                            hits_parts.append(hits)
-                    yield ips_parts, hits_parts
-                finally:
-                    shard.close()
+            for shard in self.iter_shards():
+                ips_parts: list[NDArray[Any]] = []
+                hits_parts: list[NDArray[Any]] = []
+                for index in range(self.num_snapshots):
+                    ips, hits = shard.columns(index)
+                    if ips.size:
+                        ips_parts.append(ips)
+                        hits_parts.append(hits)
+                yield ips_parts, hits_parts
 
         return iter_union_runs(groups())
 

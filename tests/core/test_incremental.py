@@ -16,7 +16,7 @@ import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.churn import IncrementalChurn, transition_churn
@@ -36,6 +36,17 @@ def columns_strategy(min_snapshots=1):
     return st.lists(column, min_size=min_snapshots, max_size=8)
 
 
+def column(*ips):
+    return np.array(ips, dtype=np.uint32)
+
+
+#: Hand-picked edge cases for the fold (hypothesis ``@example`` inputs).
+TOP_BLOCK = [column(0xFFFFFF00, 0xFFFFFFFF), column(0x0A000001, 0xFFFFFF7F)]
+LOWER_BLOCK_LATER = [column(0x0A000401, 0x0A000402), column(0x0A000005)]
+REPEATED_ADDRESS = [column(0x0A000007, 0x0A000109), column(0x0A000007)]
+EMPTY_PREFIX = [column(), column(), column(0x0A000003)]
+
+
 def dataset_from(columns, window_days=1):
     snapshots = []
     for position, ips in enumerate(columns):
@@ -51,6 +62,10 @@ def dataset_from(columns, window_days=1):
 
 
 def assert_metrics_equal(incremental, batch):
+    for name in ("bases", "filling_degree", "stu"):
+        assert getattr(incremental, name).dtype == getattr(batch, name).dtype, name
+    assert incremental.filling_degree.dtype == np.int64
+    assert incremental.stu.dtype == np.float64
     assert np.array_equal(incremental.bases, batch.bases)
     assert np.array_equal(incremental.filling_degree, batch.filling_degree)
     # Exact, not allclose: same integer accumulations, same division.
@@ -61,6 +76,10 @@ def assert_metrics_equal(incremental, batch):
 class TestIncrementalBlockMetrics:
     @settings(max_examples=60, deadline=None)
     @given(columns=columns_strategy())
+    @example(columns=TOP_BLOCK)
+    @example(columns=LOWER_BLOCK_LATER)
+    @example(columns=REPEATED_ADDRESS)
+    @example(columns=EMPTY_PREFIX)
     def test_matches_batch_after_every_prefix(self, columns):
         accumulator = IncrementalBlockMetrics(window_days=1)
         for position, ips in enumerate(columns):
@@ -69,6 +88,8 @@ class TestIncrementalBlockMetrics:
             if not any(col.size for col in prefix):
                 with pytest.raises(DatasetError):
                     accumulator.result()
+                with pytest.raises(DatasetError):
+                    compute_block_metrics(dataset_from(prefix))
                 continue
             assert_metrics_equal(
                 accumulator.result(), compute_block_metrics(dataset_from(prefix))
@@ -117,6 +138,10 @@ class TestIncrementalBlockMetrics:
 class TestIncrementalChurn:
     @settings(max_examples=60, deadline=None)
     @given(columns=columns_strategy(min_snapshots=2))
+    @example(columns=TOP_BLOCK)
+    @example(columns=LOWER_BLOCK_LATER)
+    @example(columns=REPEATED_ADDRESS)
+    @example(columns=EMPTY_PREFIX)
     def test_matches_batch_transitions(self, columns):
         accumulator = IncrementalChurn()
         for ips in columns:

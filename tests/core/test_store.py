@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import churn, metrics
@@ -473,19 +473,42 @@ def daily_datasets(draw):
 class TestStreamedEquivalenceProperties:
     @settings(max_examples=30, deadline=None)
     @given(daily_datasets(), st.integers(min_value=1, max_value=3))
+    # An address in the top /24, whose exclusive end overflows uint32.
+    @example(
+        ActivityDataset([snap(0, [0x0A000001, 0xFFFFFF00]), snap(1, [0xFFFFFFFF])]),
+        1,
+    )
+    # A later day whose /24 sorts below every /24 seen so far.
+    @example(
+        ActivityDataset([snap(0, [0x51000004, 0xC0000009]), snap(1, [0x0A000002])]),
+        3,
+    )
+    # An address repeated on a later day counts once in FD.
+    @example(
+        ActivityDataset([snap(0, [0x0A000007, 0x0A000100]), snap(1, [0x0A000007])]),
+        2,
+    )
+    # All-empty days: no active address at all.
+    @example(ActivityDataset([snap(0, []), snap(1, [])]), 1)
     def test_streamed_equals_in_memory(self, dataset, shard_blocks):
-        if not any(s.ips.size for s in dataset):
-            return  # metrics reference requires an active address
         with tempfile.TemporaryDirectory() as root:
             store = save_store(root, dataset, shard_blocks=shard_blocks)
             assert store.dataset_sha256 == dataset_digest(dataset)
-            reference = metrics.compute_block_metrics(dataset)
-            streamed = metrics.compute_block_metrics_streamed(store)
-            assert np.array_equal(streamed.bases, reference.bases)
-            assert np.array_equal(
-                streamed.filling_degree, reference.filling_degree
-            )
-            assert np.array_equal(streamed.stu, reference.stu)
+            if not any(s.ips.size for s in dataset):
+                with pytest.raises(DatasetError, match="no active addresses"):
+                    metrics.compute_block_metrics(dataset)
+                with pytest.raises(DatasetError, match="no active addresses"):
+                    metrics.compute_block_metrics_streamed(store)
+            else:
+                reference = metrics.compute_block_metrics(dataset)
+                streamed = metrics.compute_block_metrics_streamed(store)
+                for name in ("bases", "filling_degree", "stu"):
+                    ours, theirs = getattr(streamed, name), getattr(reference, name)
+                    assert ours.dtype == theirs.dtype, name
+                    assert np.array_equal(ours, theirs), name
+                assert streamed.filling_degree.dtype == np.int64
+                assert streamed.stu.dtype == np.float64
+                assert streamed.window_days == reference.window_days
             assert churn.transition_churn_streamed(
                 store
             ) == churn.transition_churn(dataset)

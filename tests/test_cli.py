@@ -301,6 +301,43 @@ class TestExtendedAnalyses:
         assert "pools" in capsys.readouterr().out
 
 
+class TestAnalyzeStoreMaterialization:
+    """A store is materialized in memory at most once per command, and
+    never for the analyses that stream."""
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["all", "--detect-events"], 1),
+            (["metrics"], 0),
+            (["churn"], 0),
+            (["churn", "--detect-events"], 1),
+        ],
+    )
+    def test_to_dataset_calls(self, stored_world, tmp_path, monkeypatch,
+                              capsys, argv, builds):
+        from repro.core.io import load_dataset, save_store
+        from repro.core.store import DatasetStore
+
+        root = tmp_path / "store"
+        save_store(root, load_dataset(str(stored_world) + ".npz"),
+                   shard_blocks=8).close()
+        calls = []
+        real = DatasetStore.to_dataset
+
+        def counting(self, **kwargs):
+            calls.append(self.root)
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(DatasetStore, "to_dataset", counting)
+        name, *flags = argv
+        code = main(["analyze", name, str(root), "--month-days", "7", *flags])
+        assert code == 0
+        assert len(calls) == builds
+        output = capsys.readouterr().out
+        assert ("Detected events" in output) == ("--detect-events" in flags)
+
+
 class TestProgressPrinter:
     def test_first_heartbeat_with_zero_done_prints_unknown_eta(self, capsys):
         # Regression: a heartbeat before any shard finished (done == 0,

@@ -2,12 +2,12 @@
 """Constant-memory acceptance gate for the out-of-core dataset store.
 
 Synthesizes a store too large to analyze comfortably in RAM, then runs
-the streamed analyses (filling degree / STU, transition churn) in a
-child process whose heap is capped with ``RLIMIT_DATA`` at the
-documented memory ceiling.  The streamed path must complete under the
-cap; the in-memory reference path is run in a second (uncapped) child
-and its peak RSS recorded, demonstrating that the same analyses would
-blow the ceiling without the store.
+the streamed analyses (filling degree / STU, transition churn, the
+window-size churn sweep) in a child process whose heap is capped with
+``RLIMIT_DATA`` at the documented memory ceiling.  The streamed path
+must complete under the cap; the in-memory reference path is run in a
+second (uncapped) child and its peak RSS recorded, demonstrating that
+the same analyses would blow the ceiling without the store.
 
 Usage::
 
@@ -93,19 +93,23 @@ def synthesize_store(
 
 
 def _child_streamed(root: str) -> None:
-    from repro.core.churn import transition_churn_streamed
+    from repro.core.churn import (
+        churn_by_window_size_streamed,
+        transition_churn_streamed,
+    )
     from repro.core.io import open_store
     from repro.core.metrics import compute_block_metrics_streamed
 
     with open_store(root) as store:
         block_metrics = compute_block_metrics_streamed(store)
         transitions = transition_churn_streamed(store)
+        sweep = churn_by_window_size_streamed(store)
     print(f"streamed ok: {block_metrics.num_blocks} blocks, "
-          f"{len(transitions)} transitions")
+          f"{len(transitions)} transitions, {len(sweep)} window sizes")
 
 
 def _child_inmemory(root: str) -> None:
-    from repro.core.churn import transition_churn
+    from repro.core.churn import churn_by_window_size, transition_churn
     from repro.core.io import open_store
     from repro.core.metrics import compute_block_metrics
 
@@ -113,8 +117,9 @@ def _child_inmemory(root: str) -> None:
         dataset = store.to_dataset(mmap=False)
         block_metrics = compute_block_metrics(dataset)
         transitions = transition_churn(dataset)
+        sweep = churn_by_window_size(dataset)
     print(f"inmemory ok: {block_metrics.num_blocks} blocks, "
-          f"{len(transitions)} transitions")
+          f"{len(transitions)} transitions, {len(sweep)} window sizes")
 
 
 def _run_child(root: str, mode: str, limit_bytes: int | None) -> dict:
