@@ -4,12 +4,14 @@ The legacy persistence format (:mod:`repro.core.io`) is one ``.npz``
 holding every snapshot column — loading it materializes the full
 address matrix, which caps analysis at whatever fits in RAM.  The paper
 analyzed 1.2B active addresses over a year; this module is the layout
-that lets the reproduction head there: a **store** is a directory of
-shard files, each a raw-member (uncompressed) ``.npz`` covering a
-contiguous range of the dataset's active /24 blocks, plus a JSON
-manifest binding them together.
+that lets the reproduction head there: a **store** is a set of shard
+files, each a raw-member (uncompressed) ``.npz`` holding the columns of
+a range of snapshots over a range of addresses, plus a JSON manifest
+binding them together.
 
-Layout::
+A batch store (:class:`StoreWriter`) tiles the address space: each
+shard covers a contiguous range of the dataset's active /24 blocks and
+holds every snapshot of it::
 
     <root>/
         store.manifest.json          # schema, day range, shard table,
@@ -17,12 +19,21 @@ Layout::
         shard_000000_000256.npz      # blocks [0, 256) of the sorted
         shard_000256_000512.npz      # active-/24 table, all snapshots
 
+A live store (:class:`StoreAppender`) tiles time instead: each committed
+interval is one immutable one-snapshot store, and a generation manifest
+lists them (see :class:`StoreAppender` for the layout).  Both are read
+through one lookup — snapshot → the shard files holding it, in address
+order — so :meth:`DatasetStore.column_slice`, :meth:`~DatasetStore.to_dataset`,
+:meth:`~DatasetStore.digest` and the streamed passes of
+:meth:`~DatasetStore.iter_shards` have a single read path; a batch store
+is the case where one file holds every snapshot of its range.
+
 Shard files reuse the checkpoint naming convention from
 :mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz`` keyed by
-global block range).  Each shard holds, per snapshot, the ``(ips,
-hits)`` columns restricted to its address range, sorted — plus the same
-header members as the legacy format, so every shard is independently a
-valid (partial) dataset file.
+block range).  Each shard holds, per snapshot, the ``(ips, hits)``
+columns restricted to its address range, sorted — plus the same header
+members as the legacy format, so every shard is independently a valid
+(partial) dataset file.
 
 Shards are keyed by **sorted /24 base address**, not by world-gen block
 index: the population allocator interleaves countries, so block index
@@ -33,12 +44,13 @@ per-/24 quantities (filling degree, STU, block activity) decompose
 exactly over shards, and concatenating shard columns in shard order
 reproduces the legacy arrays bit-identically.
 
-Memory model: analyses stream shard by shard.  Shard *data* is read
-with bounded buffered copies (one member at a time) rather than
-``mmap`` — mapped pages fault into the process RSS and would defeat a
-constant-memory ceiling — while :meth:`DatasetStore.to_dataset` and the
-``load_dataset`` fast path use true zero-copy ``np.memmap`` views where
-the caller wants the whole matrix anyway.
+Memory model: analyses stream one address range at a time.  Shard
+*data* is read with bounded buffered copies (one member, or one slice
+of a member, at a time) rather than ``mmap`` — mapped pages fault into
+the process RSS and would defeat a constant-memory ceiling — while the
+``load_dataset`` fast path uses true zero-copy ``np.memmap`` views, and
+:meth:`DatasetStore.to_dataset` maps the parts of a column it
+concatenates, where the caller wants the whole matrix anyway.
 """
 
 from __future__ import annotations
@@ -52,19 +64,28 @@ import re
 import shutil
 import zipfile
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.dataset import ActivityDataset, Snapshot
-from repro.core.io import _CORRUPT_NPZ_ERRORS, atomic_write_npz, atomic_write_text
+from repro.core.io import (
+    _CORRUPT_NPZ_ERRORS,
+    _fsync_directory,
+    atomic_write_npz,
+    atomic_write_text,
+)
 from repro.errors import DatasetError
 from repro.obs import context as obs
 
 #: Bump when the shard payload or manifest schema changes.
 STORE_FORMAT_VERSION = 1
+
+#: Manifest schema of a live generation: one interval store per snapshot
+#: plus the /24 union, instead of address-tiled whole-history shards.
+INTERVAL_FORMAT_VERSION = 2
 
 #: Manifest file name inside a store directory.
 STORE_MANIFEST_NAME = "store.manifest.json"
@@ -78,8 +99,14 @@ LIVE_POINTER_VERSION = 1
 #: Generation directory names inside a live store root.
 _GENERATION_PATTERN = re.compile(r"^gen_(\d{6})$")
 
+#: Directory inside a live store root holding one store per interval.
+INTERVALS_DIR_NAME = "intervals"
+
 #: Addresses per /24 block.
 _BLOCK_SPAN = 256
+
+#: One past the highest IPv4 address.
+_ADDRESS_END = 2**32
 
 #: Dataset-format version shared with the legacy single-file layout —
 #: each shard is independently a valid (partial) legacy dataset file.
@@ -104,6 +131,27 @@ def store_manifest_path(root: str | os.PathLike[str]) -> str:
 def generation_dir_name(generation: int) -> str:
     """Directory name of one live-store generation (1-based)."""
     return f"gen_{generation:06d}"
+
+
+def interval_dir_name(interval: int) -> str:
+    """Directory name of one committed live-store interval (1-based)."""
+    return f"{interval:06d}"
+
+
+def interval_shard_name(interval: int, num_blocks: int) -> str:
+    """A generation manifest's name for interval *interval*'s shard file.
+
+    Relative to the generation directory: interval stores live beside
+    the generations, under ``<root>/intervals/``, and outlive them.
+    """
+    return "/".join(
+        (
+            os.pardir,
+            INTERVALS_DIR_NAME,
+            interval_dir_name(interval),
+            shard_file_name(0, num_blocks),
+        )
+    )
 
 
 def live_pointer_path(root: str | os.PathLike[str]) -> str:
@@ -153,9 +201,9 @@ def resolve_store_root(path: str | os.PathLike[str]) -> str:
 
     A plain store directory resolves to itself.  A **live** store —
     one whose snapshots are appended interval by interval through
-    :class:`StoreAppender` — keeps each committed state as a complete
-    store under a generation directory and points at the current one
-    with ``live.json``; such a root resolves to its committed
+    :class:`StoreAppender` — describes each committed state with a
+    generation manifest under ``gen_<k>/`` and points at the current
+    one with ``live.json``; such a root resolves to its committed
     generation directory, so every store consumer (``open_store``,
     ``repro analyze``) reads a live store transparently.
     """
@@ -180,18 +228,32 @@ def is_store(path: str | os.PathLike[str]) -> bool:
     return os.path.isfile(store_manifest_path(resolved))
 
 
+#: The header ``np.save`` writes for a plain array, e.g.
+#: ``{'descr': '<u4', 'fortran_order': False, 'shape': (3,), }`` plus
+#: space padding — matched directly instead of parsed as a literal.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|=]?[a-zA-Z]\d*)', 'fortran_order': (False|True), "
+    rb"'shape': \(((?:\d+, )*\d*,?)\), \} *\n"
+)
+
+#: Where one ``.npy`` member's array lives: shape, dtype, and the byte
+#: offset of its raw data in the bundle (``-1`` = not raw).
+MemberLocation = tuple[tuple[int, ...], np.dtype[Any], int]
+
+
 class RawNpzReader:
     """Random access to ``.npz`` members without whole-bundle loads.
 
     ``np.load`` on an ``.npz`` decompresses each member through a full
     in-memory copy even when the member was stored raw.  This reader
-    parses the zip central directory once, locates each member's array
-    data by its local-header offset, and then serves reads three ways:
+    parses the zip central directory, locates each member's array data
+    by its local-header offset, and then serves reads three ways:
 
     - :meth:`header` — shape and dtype from the ``.npy`` header alone
       (no data read), for size accounting and digests;
     - :meth:`array` — a bounded buffered copy (``np.fromfile`` at the
       data offset), the streaming-analysis path that keeps RSS flat;
+      ``start``/``stop`` copy only that run of items;
     - :meth:`array` with ``mmap=True`` — a read-only ``np.memmap``
       view, true zero-copy for whole-matrix consumers.
 
@@ -199,18 +261,49 @@ class RawNpzReader:
     fall back to ``np.lib.format.read_array`` through the zip stream;
     :meth:`data_offset` returns ``-1`` for them so callers needing the
     zero-copy guarantee can detect and bail.
+
+    *locations* is a member-location cache the caller owns and the
+    reader fills.  Handed a non-empty one, the reader opens the bundle
+    only when asked for a member the cache does not know, so a caller
+    that keeps the cache across readers (:class:`StoreShard`) parses
+    each file's headers once and afterwards reads raw members by offset
+    without holding any file open.
     """
 
-    def __init__(self, path: str | os.PathLike[str]) -> None:
+    def __init__(
+        self,
+        path: str | os.PathLike[str],
+        *,
+        locations: dict[str, MemberLocation] | None = None,
+    ) -> None:
         self._path = os.fspath(path)
-        self._zip = zipfile.ZipFile(self._path)
-        self._file: IO[bytes] = open(self._path, "rb")
+        self._zip: zipfile.ZipFile | None = None
+        self._file: IO[bytes] | None = None
         # member name -> (shape, dtype, data offset; -1 = not raw)
-        self._headers: dict[str, tuple[tuple[int, ...], np.dtype[Any], int]] = {}
+        self._headers: dict[str, MemberLocation] = (
+            {} if locations is None else locations
+        )
+        if not self._headers:
+            self._open()
+
+    def _open(self) -> tuple[zipfile.ZipFile, IO[bytes]]:
+        if self._zip is None or self._file is None:
+            self._zip = zipfile.ZipFile(self._path)
+            try:
+                self._file = open(self._path, "rb")
+            except BaseException:
+                self._zip.close()
+                self._zip = None
+                raise
+        return self._zip, self._file
 
     def close(self) -> None:
-        self._zip.close()
-        self._file.close()
+        if self._zip is not None:
+            self._zip.close()
+            self._zip = None
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def __enter__(self) -> "RawNpzReader":
         return self
@@ -224,25 +317,27 @@ class RawNpzReader:
 
     def keys(self) -> list[str]:
         """Member names (without the ``.npy`` suffix), archive order."""
+        bundle, _file = self._open()
         return [
             name[: -len(".npy")]
-            for name in self._zip.namelist()
+            for name in bundle.namelist()
             if name.endswith(".npy")
         ]
 
-    def _locate(self, name: str) -> tuple[tuple[int, ...], np.dtype[Any], int]:
+    def _locate(self, name: str) -> MemberLocation:
         cached = self._headers.get(name)
         if cached is not None:
             return cached
+        bundle, file = self._open()
         try:
-            info = self._zip.getinfo(name + ".npy")
+            info = bundle.getinfo(name + ".npy")
         except KeyError as exc:
             raise DatasetError(
                 f"not a dataset file: {self._path} (missing member {name!r})"
             ) from exc
         if info.compress_type == zipfile.ZIP_STORED:
-            self._file.seek(info.header_offset)
-            local = self._file.read(_ZIP_LOCAL_HEADER_SIZE)
+            file.seek(info.header_offset)
+            local = file.read(_ZIP_LOCAL_HEADER_SIZE)
             if (
                 len(local) < _ZIP_LOCAL_HEADER_SIZE
                 or local[:4] != _ZIP_LOCAL_MAGIC
@@ -256,11 +351,11 @@ class RawNpzReader:
             payload = (
                 info.header_offset + _ZIP_LOCAL_HEADER_SIZE + name_len + extra_len
             )
-            self._file.seek(payload)
-            shape, fortran, dtype = self._read_npy_header(self._file)
-            offset = -1 if fortran or dtype.hasobject else self._file.tell()
+            file.seek(payload)
+            shape, fortran, dtype = self._read_npy_header(file)
+            offset = -1 if fortran or dtype.hasobject else file.tell()
         else:
-            with self._zip.open(info) as stream:
+            with bundle.open(info) as stream:
                 shape, _fortran, dtype = self._read_npy_header(stream)
             offset = -1
         located = (shape, dtype, offset)
@@ -271,12 +366,23 @@ class RawNpzReader:
     def _read_npy_header(
         stream: IO[bytes],
     ) -> tuple[tuple[int, ...], bool, np.dtype[Any]]:
+        start = stream.tell()
         version = np.lib.format.read_magic(stream)
+        if version not in ((1, 0), (2, 0)):
+            raise DatasetError(f"unsupported .npy member format version: {version}")
+        length = int.from_bytes(stream.read(2 if version == (1, 0) else 4), "little")
+        match = _NPY_HEADER.fullmatch(stream.read(length))
+        if match is not None:
+            descr, fortran, dims = match.groups()
+            shape = tuple(int(dim) for dim in dims.split(b",") if dim.strip())
+            return shape, fortran == b"True", np.dtype(descr.decode("ascii"))
+        # Anything else (structured dtypes, other spellings) goes through
+        # numpy's own, slower, literal_eval parser.
+        stream.seek(start)
+        np.lib.format.read_magic(stream)
         if version == (1, 0):
             return np.lib.format.read_array_header_1_0(stream)
-        if version == (2, 0):
-            return np.lib.format.read_array_header_2_0(stream)
-        raise DatasetError(f"unsupported .npy member format version: {version}")
+        return np.lib.format.read_array_header_2_0(stream)
 
     def header(self, name: str) -> tuple[tuple[int, ...], np.dtype[Any]]:
         """Member *name*'s ``(shape, dtype)`` without reading its data."""
@@ -288,20 +394,38 @@ class RawNpzReader:
         _shape, _dtype, offset = self._locate(name)
         return offset
 
-    def array(self, name: str, *, mmap: bool = False) -> NDArray[Any]:
-        """Member *name* as an array.
+    def array(
+        self,
+        name: str,
+        *,
+        mmap: bool = False,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> NDArray[Any]:
+        """Member *name* as an array, or items ``[start, stop)`` of it.
 
         Raw members are read with a bounded buffered copy, or mapped
         read-only when ``mmap=True``.  Non-raw members (compressed,
-        Fortran, object dtype) are decoded through the zip stream.
+        Fortran, object dtype) are decoded through the zip stream.  An
+        item range applies to one-dimensional members only.
         """
         shape, dtype, offset = self._locate(name)
         if offset < 0:
-            with self._zip.open(name + ".npy") as stream:
+            bundle, _file = self._open()
+            with bundle.open(name + ".npy") as stream:
                 decoded: NDArray[Any] = np.lib.format.read_array(
                     stream, allow_pickle=False
                 )
-            return decoded
+            return decoded if start == 0 and stop is None else decoded[start:stop]
+        if start != 0 or stop is not None:
+            if len(shape) != 1:
+                raise DatasetError(
+                    f"item range of a {len(shape)}-d member {name!r} in "
+                    f"{self._path}"
+                )
+            stop = shape[0] if stop is None else min(stop, shape[0])
+            offset += start * dtype.itemsize
+            shape = (max(stop - start, 0),)
         count = math.prod(shape)
         if count == 0:
             return np.empty(shape, dtype=dtype)
@@ -310,7 +434,11 @@ class RawNpzReader:
                 self._path, mode="r", dtype=dtype, shape=shape, offset=offset
             )
             return mapped
-        flat = np.fromfile(self._path, dtype=dtype, count=count, offset=offset)
+        if self._file is not None:
+            self._file.seek(offset)
+            flat = np.fromfile(self._file, dtype=dtype, count=count)
+        else:
+            flat = np.fromfile(self._path, dtype=dtype, count=count, offset=offset)
         if flat.size != count:
             raise DatasetError(
                 f"corrupt or truncated dataset file: {self._path} "
@@ -378,19 +506,32 @@ class ShardInfo:
 
 
 class StoreShard:
-    """One shard of a store: lazy reader plus its manifest row."""
+    """One shard file of a store: lazy reader plus its manifest row.
 
-    def __init__(self, root: str | os.PathLike[str], info: ShardInfo) -> None:
+    A shard holds the columns of the snapshots in :attr:`snapshots`
+    over the address range of its :attr:`info` — every snapshot in a
+    batch store, one in a live store's interval file.  Member
+    locations are cached on the shard and survive :meth:`close`, so
+    the file's headers are parsed once per shard and later reads open
+    the file only for as long as they take.
+    """
+
+    def __init__(
+        self, root: str | os.PathLike[str], info: ShardInfo, snapshots: range
+    ) -> None:
         self.info = info
-        self.path = os.path.join(os.fspath(root), info.name)
+        self.path = os.path.normpath(os.path.join(os.fspath(root), info.name))
+        #: Global indices of the snapshots this file holds, in member order.
+        self.snapshots = snapshots
         self._reader: RawNpzReader | None = None
         self._header: StoreHeader | None = None
         self._sizes: list[int] | None = None
+        self._locations: dict[str, MemberLocation] = {}
 
     def reader(self) -> RawNpzReader:
         if self._reader is None:
             try:
-                self._reader = RawNpzReader(self.path)
+                self._reader = RawNpzReader(self.path, locations=self._locations)
             except FileNotFoundError as exc:
                 raise DatasetError(f"missing store shard file: {self.path}") from exc
             except _CORRUPT_NPZ_ERRORS as exc:
@@ -449,69 +590,141 @@ class StoreShard:
         )
 
     def snapshot_sizes(self) -> list[int]:
-        """Active addresses per snapshot, from headers only (no data read)."""
+        """Active addresses per held snapshot, from headers only (no data read).
+
+        The first call locates every column member while the bundle is
+        open, then closes it: from then on columns are read by offset,
+        and no file stays open between reads.
+        """
         if self._sizes is None:
-            count = self.header().num_snapshots
+            reader = self.reader()
             sizes: list[int] = []
-            for index in range(count):
-                shape, _dtype = self.reader().header(f"ips_{index}")
+            for index in self.snapshots:
+                shape, _dtype = reader.header(self.member("ips", index))
+                reader.header(self.member("hits", index))
                 sizes.append(math.prod(shape))
             self._sizes = sizes
+            self.close()
         return self._sizes
+
+    def member(self, kind: str, index: int) -> str:
+        """The member holding global snapshot *index*'s *kind* column."""
+        return f"{kind}_{index - self.snapshots.start}"
 
     def columns(
         self, index: int, *, mmap: bool = False
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Snapshot *index*'s ``(ips, hits)`` columns within this shard."""
+        """Global snapshot *index*'s ``(ips, hits)`` columns within this shard."""
         try:
-            ips = self.reader().array(f"ips_{index}", mmap=mmap)
-            hits = self.reader().array(f"hits_{index}", mmap=mmap)
+            self.snapshot_sizes()  # every column member located
+            reader = self.reader()
+            return (
+                reader.array(self.member("ips", index), mmap=mmap),
+                reader.array(self.member("hits", index), mmap=mmap),
+            )
         except _CORRUPT_NPZ_ERRORS as exc:
             raise DatasetError(
                 f"corrupt or truncated store shard: {self.path} ({exc})"
             ) from exc
-        return ips, hits
+
+    def columns_between(
+        self, index: int, lo: int, hi: int
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """:meth:`columns` restricted to addresses ``[lo, hi]`` (inclusive).
+
+        The bounds are found by binary search over a read-only map of
+        the address member, so only the requested run of items is
+        copied.
+        """
+        ips_name = self.member("ips", index)
+        hits_name = self.member("hits", index)
+        try:
+            self.snapshot_sizes()  # every column member located
+            reader = self.reader()
+            addresses = reader.array(ips_name, mmap=True)
+            left = int(np.searchsorted(addresses, lo))
+            right = int(np.searchsorted(addresses, hi, side="right"))
+            del addresses
+            return (
+                reader.array(ips_name, start=left, stop=right),
+                reader.array(hits_name, start=left, stop=right),
+            )
+        except _CORRUPT_NPZ_ERRORS as exc:
+            raise DatasetError(
+                f"corrupt or truncated store shard: {self.path} ({exc})"
+            ) from exc
 
 
 def _streamed_digest(
-    shards: Sequence[StoreShard],
+    holders: Sequence[Sequence[StoreShard]],
     start: datetime.date,
     window_days: int,
-    num_snapshots: int,
 ) -> str:
     """The dataset SHA-256, computed shard-at-a-time in bounded memory.
 
-    Byte-for-byte the same stream as
+    *holders* lists, per snapshot, the shards holding its column in
+    ascending address order.  Byte-for-byte the same stream as
     :func:`repro.obs.manifest.dataset_digest` hashes for the in-memory
     dataset: the header line, then per snapshot, per column kind, the
-    dtype/size prefix followed by the column bytes.  A store's column
-    is split across shards in ascending address order, so feeding each
-    shard's member bytes in shard order reproduces the concatenated
-    column exactly — holding only one member in memory at a time.
+    dtype/size prefix followed by the column bytes.  A column split
+    across shards in ascending address order is fed shard by shard,
+    which reproduces the concatenated column exactly — holding only one
+    member in memory at a time.
     """
     digest = hashlib.sha256()
-    digest.update(f"v1|{start.toordinal()}|{window_days}|{num_snapshots}".encode())
+    digest.update(f"v1|{start.toordinal()}|{window_days}|{len(holders)}".encode())
     try:
-        sizes = [shard.snapshot_sizes() for shard in shards]
-        for index in range(num_snapshots):
-            total = sum(per_shard[index] for per_shard in sizes)
+        for index, shards in enumerate(holders):
+            total = sum(
+                shard.snapshot_sizes()[index - shard.snapshots.start]
+                for shard in shards
+            )
             for member_prefix, expected_dtype in (("ips", "<u4"), ("hits", "<u8")):
                 digest.update(f"|{expected_dtype}|{total}|".encode())
                 for shard in shards:
-                    column = shard.reader().array(f"{member_prefix}_{index}")
+                    name = shard.member(member_prefix, index)
+                    column = shard.reader().array(name)
                     if column.dtype.str != expected_dtype:
                         raise DatasetError(
                             f"bad column dtype in shard {shard.path}: "
-                            f"{member_prefix}_{index} is {column.dtype.str}, "
+                            f"{name} is {column.dtype.str}, "
                             f"expected {expected_dtype}"
                         )
-                    digest.update(column.tobytes())
+                    # The buffer itself: the bytes tobytes() would copy.
+                    digest.update(np.ascontiguousarray(column).data)
     finally:
         # Each shard's reader was opened here; release every one even
         # on a mid-stream error (the callers' shards reopen lazily).
-        for shard in shards:
-            shard.close()
+        for shards in holders:
+            for shard in shards:
+                shard.close()
     return digest.hexdigest()
+
+
+class StoreRange:
+    """One address range of a store across every snapshot.
+
+    The unit a streamed pass folds (:meth:`DatasetStore.iter_shards`):
+    ranges are disjoint, ascending and 256-aligned, so per-/24 results
+    computed range by range concatenate into the whole-store result.
+    A batch store's ranges are its shards'; a live store's chunk its
+    /24 union into ``shard_blocks`` /24s each.
+    """
+
+    def __init__(self, store: "DatasetStore", lo: int, hi: int) -> None:
+        self.store = store
+        self.lo = lo
+        self.hi = hi  # inclusive
+
+    def columns(self, index: int) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Snapshot *index*'s ``(ips, hits)`` within this range."""
+        return self.store.read(index, self.lo, self.hi)
+
+    def close(self) -> None:
+        """Release the readers of every shard file this range reads."""
+        for shard in self.store.shards:
+            if shard.info.base_hi > self.lo and shard.info.base_lo <= self.hi:
+                shard.close()
 
 
 class DatasetStore:
@@ -519,11 +732,15 @@ class DatasetStore:
 
     Open one with :meth:`DatasetStore.open` (or
     :func:`repro.core.io.open_store`).  Opening validates the manifest
-    and every shard's header eagerly — block ranges must tile
-    ``[0, num_blocks)`` contiguously, address ranges must be
-    256-aligned, ascending, and disjoint, and every shard must agree on
-    the day range — but reads shard *data* lazily, one member at a
-    time.
+    and every shard's header eagerly — a batch store's block ranges
+    must tile ``[0, num_blocks)`` contiguously, address ranges must be
+    256-aligned, ascending, and disjoint, and every shard must agree
+    with the manifest on its day range — but reads shard *data*
+    lazily, one member at a time.
+
+    Every read goes through one lookup, from a snapshot to the shard
+    files holding it in address order (:meth:`read`): all of a batch
+    store's shards, or the one interval file of a live generation.
     """
 
     def __init__(
@@ -537,6 +754,7 @@ class DatasetStore:
         num_blocks: int,
         dataset_sha256: str,
         shards: list[StoreShard],
+        block_bases: NDArray[np.int64] | None = None,
     ) -> None:
         self.root = root
         self.start = start
@@ -546,6 +764,27 @@ class DatasetStore:
         self.num_blocks = num_blocks
         self.dataset_sha256 = dataset_sha256
         self.shards = shards
+        #: The sorted /24 union a live generation records; ``None`` for
+        #: a batch store, whose shards carry the block table.
+        self.block_bases = block_bases
+        self._holders: list[list[StoreShard]] = [[] for _ in range(num_snapshots)]
+        for shard in shards:
+            for index in shard.snapshots:
+                self._holders[index].append(shard)
+        self._ranges: list[tuple[int, int]]
+        if block_bases is None:
+            self._ranges = [
+                (shard.info.base_lo, shard.info.base_hi - 1) for shard in shards
+            ]
+        else:
+            # Edge to edge from address 0 to the top, so every address
+            # falls in exactly one range whatever the union holds.
+            firsts = [int(base) for base in block_bases[::shard_blocks]]
+            edges = [0, *firsts[1:], _ADDRESS_END]
+            self._ranges = [
+                (edges[position], edges[position + 1] - 1)
+                for position in range(len(firsts))
+            ]
 
     def __repr__(self) -> str:
         return (
@@ -573,89 +812,96 @@ class DatasetStore:
         """Active addresses per snapshot — from ``.npy`` headers only."""
         counts = np.zeros(self.num_snapshots, dtype=np.int64)
         for shard in self.shards:
-            counts += np.asarray(shard.snapshot_sizes(), dtype=np.int64)
+            held = shard.snapshots
+            counts[held.start : held.stop] += np.asarray(
+                shard.snapshot_sizes(), dtype=np.int64
+            )
         return counts
 
     def nbytes(self) -> int:
         """Total shard file bytes, per the manifest."""
         return sum(shard.info.nbytes for shard in self.shards)
 
-    def iter_shards(self) -> Iterator[StoreShard]:
-        """Each shard in ascending address order, closed once passed.
+    def read(
+        self, index: int, lo: int, hi: int, *, mmap: bool = False
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Snapshot *index*'s ``(ips, hits)`` restricted to ``[lo, hi]``.
 
-        The one per-shard loop of every streamed pass: the ``finally``
-        also runs when the consumer raises mid-shard or abandons the
+        The store's one read path.  *hi* is inclusive (the exclusive
+        bound of the top /24 would overflow ``uint32``).  Only the
+        shards holding the snapshot whose address range overlaps the
+        request are read, and only the requested run of each, so the
+        result is bounded by the requested slice.  ``mmap=True`` maps
+        the whole-file parts of a slice split across shards before
+        concatenating them; a slice held by one file is read straight
+        into memory.  Either way the result is an in-memory array: a
+        mapping left in it would pin a file descriptor for as long as
+        it lives.
+        """
+        shards = [
+            shard
+            for shard in self._holders[index]
+            if shard.info.base_hi > lo and shard.info.base_lo <= hi
+        ]
+        mmap = mmap and len(shards) > 1
+        ips_parts: list[NDArray[Any]] = []
+        hits_parts: list[NDArray[Any]] = []
+        for shard in shards:
+            if lo <= shard.info.base_lo and shard.info.base_hi - 1 <= hi:
+                ips, hits = (
+                    shard.columns(index, mmap=True) if mmap else shard.columns(index)
+                )
+            else:
+                ips, hits = shard.columns_between(index, lo, hi)
+            if ips.size:
+                ips_parts.append(ips)
+                hits_parts.append(hits)
+        if not ips_parts:
+            return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
+        if len(ips_parts) == 1 and not mmap:
+            return ips_parts[0], hits_parts[0]
+        return (
+            np.concatenate(ips_parts),  # bounded: one requested address slice
+            np.concatenate(hits_parts),  # bounded: one requested address slice
+        )
+
+    def iter_shards(self) -> Iterator[StoreRange]:
+        """Each address range in ascending order, closed once passed.
+
+        The one per-range loop of every streamed pass: the ``finally``
+        also runs when the consumer raises mid-range or abandons the
         iteration, so no shard's reader outlives its turn.
         """
-        for shard in self.shards:
+        for lo, hi in self._ranges:
+            view = StoreRange(self, lo, hi)
             try:
-                yield shard
+                yield view
             finally:
-                shard.close()
-
-    def active_block_bases(self) -> NDArray[np.int64]:
-        """Sorted /24 bases with any activity, streamed shard by shard.
-
-        Shards cover ascending disjoint address ranges, so per-shard
-        sorted base sets concatenate into the global sorted base table;
-        peak memory is one shard's columns plus the base table itself
-        (O(active /24s), not O(addresses)).
-        """
-        parts: list[NDArray[np.int64]] = []
-        for shard in self.iter_shards():
-            masked = [
-                (shard.columns(index)[0] & np.uint32(0xFFFFFF00)).astype(np.int64)
-                for index in range(self.num_snapshots)
-            ]
-            nonempty = [blocks for blocks in masked if blocks.size]
-            if nonempty:
-                parts.append(np.unique(np.concatenate(nonempty)))  # bounded: one shard
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)  # O(active /24s), not O(addresses)
+                view.close()
 
     def column_slice(
         self, index: int, lo: int, hi: int
     ) -> tuple[NDArray[Any], NDArray[Any]]:
         """Snapshot *index*'s ``(ips, hits)`` restricted to ``[lo, hi]``.
 
-        *hi* is inclusive (the exclusive bound of the top /24 would
-        overflow ``uint32``).  Reads only the shards whose address
-        range overlaps the request, so the result is bounded by the
-        requested slice plus one shard's columns.
+        *hi* is inclusive; see :meth:`read`.
         """
-        ips_parts: list[NDArray[Any]] = []
-        hits_parts: list[NDArray[Any]] = []
-        for shard in self.shards:
-            if shard.info.base_hi <= lo or shard.info.base_lo > hi:
-                continue
-            ips, hits = shard.columns(index)
-            left = int(np.searchsorted(ips, lo))
-            right = int(np.searchsorted(ips, hi, side="right"))
-            if right > left:
-                ips_parts.append(ips[left:right])
-                hits_parts.append(hits[left:right])
-        if not ips_parts:
-            return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
-        return (
-            np.concatenate(ips_parts),  # bounded: one requested address slice
-            np.concatenate(hits_parts),  # bounded: one requested address slice
-        )
+        return self.read(index, lo, hi)
 
     def iter_union_runs(self) -> Iterator[tuple[NDArray[Any], NDArray[Any]]]:
-        """Sorted ``(ips, hits)`` union runs, one per shard, streaming.
+        """Sorted ``(ips, hits)`` union runs, one per range, streaming.
 
         Concatenating every run reproduces ``kway_union`` of the whole
-        dataset; peak memory is one shard's columns plus one run.
+        dataset; peak memory is one range's columns plus one run.
         """
         from repro.core.index import iter_union_runs
 
         def groups() -> Iterator[tuple[list[NDArray[Any]], list[NDArray[Any]]]]:
-            for shard in self.iter_shards():
+            for view in self.iter_shards():
                 ips_parts: list[NDArray[Any]] = []
                 hits_parts: list[NDArray[Any]] = []
                 for index in range(self.num_snapshots):
-                    ips, hits = shard.columns(index)
+                    ips, hits = view.columns(index)
                     if ips.size:
                         ips_parts.append(ips)
                         hits_parts.append(hits)
@@ -666,27 +912,14 @@ class DatasetStore:
     def to_dataset(self, *, mmap: bool = True) -> ActivityDataset:
         """Materialize the full in-memory dataset, bit-identically.
 
-        Shards cover disjoint ascending address ranges, so per-snapshot
-        concatenation in shard order yields the legacy sorted columns
-        (``Snapshot`` re-validates strict ascent).  ``mmap=True`` backs
-        the columns with read-only maps instead of copies.
+        Each snapshot's column is read across its shards in address
+        order (``Snapshot`` re-validates strict ascent).  ``mmap=True``
+        reads the parts of a column split across shards through
+        read-only maps instead of intermediate copies (see :meth:`read`).
         """
         snapshots: list[Snapshot] = []
         for index in range(self.num_snapshots):
-            ips_parts: list[NDArray[Any]] = []
-            hits_parts: list[NDArray[Any]] = []
-            for shard in self.shards:
-                ips, hits = shard.columns(index, mmap=mmap)
-                if ips.size:
-                    ips_parts.append(ips)
-                    hits_parts.append(hits)
-            if ips_parts:
-                # Materializing is this method's contract:
-                ips_col: NDArray[Any] = np.concatenate(ips_parts)  # whole matrix wanted
-                hits_col: NDArray[Any] = np.concatenate(hits_parts)  # whole matrix wanted
-            else:
-                ips_col = np.empty(0, dtype=np.uint32)
-                hits_col = np.empty(0, dtype=np.uint64)
+            ips_col, hits_col = self.read(index, 0, _ADDRESS_END - 1, mmap=mmap)
             snapshots.append(
                 Snapshot(
                     self.snapshot_start(index), self.window_days, ips_col, hits_col
@@ -696,28 +929,18 @@ class DatasetStore:
 
     def digest(self) -> str:
         """Recompute the dataset SHA-256 by streaming over the shards."""
-        return _streamed_digest(
-            self.shards, self.start, self.window_days, self.num_snapshots
-        )
+        return _streamed_digest(self._holders, self.start, self.window_days)
 
     def verify(self) -> None:
         """Re-hash every shard file against its manifest fingerprint."""
         for shard in self.shards:
-            digest = hashlib.sha256()
-            nbytes = 0
             try:
-                with open(shard.path, "rb") as stream:
-                    while True:
-                        chunk = stream.read(1 << 20)
-                        if not chunk:
-                            break
-                        digest.update(chunk)
-                        nbytes += len(chunk)
+                sha256, nbytes = _file_sha256(shard.path)
             except FileNotFoundError as exc:
                 raise DatasetError(
                     f"missing store shard file: {shard.path}"
                 ) from exc
-            if nbytes != shard.info.nbytes or digest.hexdigest() != shard.info.sha256:
+            if nbytes != shard.info.nbytes or sha256 != shard.info.sha256:
                 raise DatasetError(
                     f"store shard fingerprint mismatch: {shard.path} does not "
                     f"match the manifest at {store_manifest_path(self.root)}"
@@ -764,75 +987,29 @@ class DatasetStore:
             raise DatasetError(
                 f"malformed store manifest: {manifest_file} ({exc})"
             ) from exc
-        if schema != STORE_FORMAT_VERSION:
+        if schema not in (STORE_FORMAT_VERSION, INTERVAL_FORMAT_VERSION):
             raise DatasetError(
                 f"unsupported store manifest schema in {manifest_file}: {schema}"
             )
         if window_days < 1 or num_snapshots < 1 or shard_blocks < 1:
             raise DatasetError(f"malformed store manifest: {manifest_file}")
         infos = [ShardInfo.from_dict(entry) for entry in shard_entries]
-        next_block = 0
-        next_base = 0
-        for info in infos:
-            if info.name != shard_file_name(info.block_start, info.block_stop):
-                raise DatasetError(
-                    f"store manifest at {manifest_file} names shard "
-                    f"{info.name!r} for block range "
-                    f"[{info.block_start}, {info.block_stop})"
-                )
-            if info.block_start != next_block or info.block_stop <= info.block_start:
-                raise DatasetError(
-                    f"store shards do not tile the block range: {info.name} "
-                    f"starts at block {info.block_start}, expected {next_block}"
-                )
-            if (
-                info.base_lo % _BLOCK_SPAN
-                or info.base_hi % _BLOCK_SPAN
-                or info.base_lo < next_base
-                or info.base_hi - info.base_lo < info.num_blocks * _BLOCK_SPAN
-                or info.base_hi > 2**32
-            ):
-                raise DatasetError(
-                    f"store shard {info.name} has a malformed address range "
-                    f"[{info.base_lo:#010x}, {info.base_hi:#010x})"
-                )
-            next_block = info.block_stop
-            next_base = info.base_hi
-        if next_block != num_blocks:
-            raise DatasetError(
-                f"store manifest at {manifest_file} declares {num_blocks} "
-                f"blocks but its shards cover {next_block}"
+        block_bases: NDArray[np.int64] | None = None
+        if schema == STORE_FORMAT_VERSION:
+            _check_tiling(infos, num_blocks, manifest_file)
+            shards = [StoreShard(root, info, range(num_snapshots)) for info in infos]
+        else:
+            block_bases = _manifest_bases(payload, num_blocks, manifest_file)
+            shards = _interval_shards(
+                root, infos, shard_entries, num_snapshots, num_blocks, manifest_file
             )
-        shards = [StoreShard(root, info) for info in infos]
-        expected = StoreHeader(start, window_days, num_snapshots)
-        reference: StoreShard | None = None
+        checked: list[StoreShard] = []
         for shard in shards:
-            header = shard.header()
-            if reference is None:
-                reference = shard
-                if header != expected:
-                    raise DatasetError(
-                        f"store manifest at {manifest_file} declares "
-                        f"{expected.describe()} but shard {shard.path} "
-                        f"covers {header.describe()}"
-                    )
-            elif header != reference.header():
-                raise DatasetError(
-                    f"day-range mismatch between shards: {reference.path} "
-                    f"covers {reference.header().describe()} but "
-                    f"{shard.path} covers {header.describe()}"
-                )
-            block_range, base_range = shard.ranges()
-            if block_range != (shard.info.block_start, shard.info.block_stop) or (
-                base_range != (shard.info.base_lo, shard.info.base_hi)
-            ):
-                raise DatasetError(
-                    f"store shard {shard.path} records ranges "
-                    f"{block_range}/{base_range} but the manifest at "
-                    f"{manifest_file} declares "
-                    f"({shard.info.block_start}, {shard.info.block_stop})/"
-                    f"({shard.info.base_lo}, {shard.info.base_hi})"
-                )
+            try:
+                _check_shard_file(shard, start, window_days, manifest_file, checked)
+            finally:
+                shard.close()
+            checked.append(shard)
         return cls(
             root,
             start=start,
@@ -842,7 +1019,177 @@ class DatasetStore:
             num_blocks=num_blocks,
             dataset_sha256=dataset_sha256,
             shards=shards,
+            block_bases=block_bases,
         )
+
+
+def _manifest_text(payload: dict[str, Any]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _file_sha256(path: str) -> tuple[str, int]:
+    """SHA-256 and size of the file at *path*, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    nbytes = 0
+    with open(path, "rb") as stream:
+        while True:
+            chunk = stream.read(1 << 20)
+            if not chunk:
+                break
+            digest.update(chunk)
+            nbytes += len(chunk)
+    return digest.hexdigest(), nbytes
+
+
+def _check_tiling(
+    infos: Sequence[ShardInfo], num_blocks: int, manifest_file: str
+) -> None:
+    """A batch manifest's shards must tile its ascending block table."""
+    next_block = 0
+    next_base = 0
+    for info in infos:
+        if info.name != shard_file_name(info.block_start, info.block_stop):
+            raise DatasetError(
+                f"store manifest at {manifest_file} names shard "
+                f"{info.name!r} for block range "
+                f"[{info.block_start}, {info.block_stop})"
+            )
+        if info.block_start != next_block or info.block_stop <= info.block_start:
+            raise DatasetError(
+                f"store shards do not tile the block range: {info.name} "
+                f"starts at block {info.block_start}, expected {next_block}"
+            )
+        _check_base_range(info, next_base)
+        next_block = info.block_stop
+        next_base = info.base_hi
+    if next_block != num_blocks:
+        raise DatasetError(
+            f"store manifest at {manifest_file} declares {num_blocks} "
+            f"blocks but its shards cover {next_block}"
+        )
+
+
+def _check_base_range(info: ShardInfo, floor: int) -> None:
+    if (
+        info.base_lo % _BLOCK_SPAN
+        or info.base_hi % _BLOCK_SPAN
+        or info.base_lo < floor
+        or info.base_hi - info.base_lo < info.num_blocks * _BLOCK_SPAN
+        or info.base_hi > _ADDRESS_END
+    ):
+        raise DatasetError(
+            f"store shard {info.name} has a malformed address range "
+            f"[{info.base_lo:#010x}, {info.base_hi:#010x})"
+        )
+
+
+def _manifest_bases(
+    payload: dict[str, Any], num_blocks: int, manifest_file: str
+) -> NDArray[np.int64]:
+    """A live generation's recorded /24 union, validated."""
+    try:
+        bases = np.array([int(base) for base in payload["block_bases"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(
+            f"malformed store manifest: {manifest_file} ({exc})"
+        ) from exc
+    if (
+        bases.size != num_blocks
+        or (bases % _BLOCK_SPAN).any()
+        or (bases.size and (bases[0] < 0 or bases[-1] >= _ADDRESS_END))
+        or (bases[1:] <= bases[:-1]).any()
+    ):
+        raise DatasetError(
+            f"store manifest at {manifest_file} records a malformed /24 "
+            f"union ({bases.size} bases for {num_blocks} blocks)"
+        )
+    return bases
+
+
+def _interval_shards(
+    root: str,
+    infos: Sequence[ShardInfo],
+    entries: Sequence[Any],
+    num_snapshots: int,
+    num_blocks: int,
+    manifest_file: str,
+) -> list[StoreShard]:
+    """A live generation's interval files, one per non-empty snapshot."""
+    shards: list[StoreShard] = []
+    previous = -1
+    for info, entry in zip(infos, entries):
+        try:
+            index = int(entry["snapshot"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"malformed store manifest shard entry: {exc}"
+            ) from exc
+        if not previous < index < num_snapshots:
+            raise DatasetError(
+                f"store manifest at {manifest_file} lists interval file "
+                f"{info.name!r} at snapshot {index}, out of order or past "
+                f"its {num_snapshots} snapshots"
+            )
+        if (
+            info.name != interval_shard_name(index + 1, info.block_stop)
+            or info.block_start != 0
+            or not 0 < info.block_stop <= num_blocks
+        ):
+            raise DatasetError(
+                f"store manifest at {manifest_file} names interval file "
+                f"{info.name!r} for snapshot {index}, block range "
+                f"[{info.block_start}, {info.block_stop})"
+            )
+        _check_base_range(info, 0)
+        shards.append(StoreShard(root, info, range(index, index + 1)))
+        previous = index
+    return shards
+
+
+def _check_shard_file(
+    shard: StoreShard,
+    start: datetime.date,
+    window_days: int,
+    manifest_file: str,
+    checked: Sequence[StoreShard],
+) -> None:
+    """*shard*'s own header and ranges must match its manifest row.
+
+    Also locates every column member (headers only), so a missing one
+    fails here and later reads need not parse the file again.
+    """
+    held = shard.snapshots
+    expected = StoreHeader(
+        start + datetime.timedelta(days=held.start * window_days),
+        window_days,
+        len(held),
+    )
+    header = shard.header()
+    if header != expected:
+        peer = next((other for other in checked if other.snapshots == held), None)
+        if peer is not None:
+            raise DatasetError(
+                f"day-range mismatch between shards: {peer.path} "
+                f"covers {peer.header().describe()} but "
+                f"{shard.path} covers {header.describe()}"
+            )
+        raise DatasetError(
+            f"store manifest at {manifest_file} declares "
+            f"{expected.describe()} but shard {shard.path} "
+            f"covers {header.describe()}"
+        )
+    block_range, base_range = shard.ranges()
+    if block_range != (shard.info.block_start, shard.info.block_stop) or (
+        base_range != (shard.info.base_lo, shard.info.base_hi)
+    ):
+        raise DatasetError(
+            f"store shard {shard.path} records ranges "
+            f"{block_range}/{base_range} but the manifest at "
+            f"{manifest_file} declares "
+            f"({shard.info.block_start}, {shard.info.block_stop})/"
+            f"({shard.info.base_lo}, {shard.info.base_hi})"
+        )
+    shard.snapshot_sizes()
 
 
 class StoreWriter:
@@ -977,22 +1324,14 @@ class StoreWriter:
         name = shard_file_name(block_start, block_stop)
         path = os.path.join(self._root, name)
         atomic_write_npz(path, arrays, compress=False)
-        digest = hashlib.sha256()
-        nbytes = 0
-        with open(path, "rb") as stream:
-            while True:
-                chunk = stream.read(1 << 20)
-                if not chunk:
-                    break
-                digest.update(chunk)
-                nbytes += len(chunk)
+        sha256, nbytes = _file_sha256(path)
         info = ShardInfo(
             name=name,
             block_start=block_start,
             block_stop=block_stop,
             base_lo=base_lo,
             base_hi=base_hi,
-            sha256=digest.hexdigest(),
+            sha256=sha256,
             nbytes=nbytes,
         )
         self._infos.append(info)
@@ -1006,9 +1345,12 @@ class StoreWriter:
         if self._finalized:
             raise DatasetError("store already finalized")
         self._finalized = True
-        shards = [StoreShard(self._root, info) for info in self._infos]
+        shards = [
+            StoreShard(self._root, info, range(self._num_snapshots))
+            for info in self._infos
+        ]
         dataset_sha256 = _streamed_digest(
-            shards, self._start, self._window_days, self._num_snapshots
+            [shards] * self._num_snapshots, self._start, self._window_days
         )
         payload = {
             "schema": STORE_FORMAT_VERSION,
@@ -1020,12 +1362,7 @@ class StoreWriter:
             "dataset_sha256": dataset_sha256,
             "shards": [info.as_dict() for info in self._infos],
         }
-        atomic_write_text(
-            store_manifest_path(self._root),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-        for shard in shards:
-            shard.close()
+        atomic_write_text(store_manifest_path(self._root), _manifest_text(payload))
         obs.add("stores_finalized_total")
         return DatasetStore(
             self._root,
@@ -1047,24 +1384,36 @@ COMMIT_PHASE_FLIPPED = "pointer-flipped"
 class StoreAppender:
     """Append one snapshot interval at a time to a **live** store.
 
-    A live store root holds generation directories — each a complete,
-    independently valid store — plus a ``live.json`` pointer naming the
-    committed one::
+    A live store root holds one immutable store per committed interval,
+    generation directories that each hold only a manifest listing the
+    intervals committed so far, and a ``live.json`` pointer naming the
+    committed generation::
 
         <root>/
-            live.json                # {"schema": 1, "generation": 2}
-            gen_000002/              # the committed 2-snapshot store
-                store.manifest.json
-                shard_*.npz
+            live.json                    # {"schema": 1, "generation": 2}
+            gen_000002/
+                store.manifest.json      # intervals 1-2 + the /24 union
+            intervals/
+                000001/                  # a one-snapshot store
+                    store.manifest.json
+                    shard_000000_000003.npz
+                000002/
+                    store.manifest.json
+                    shard_000000_000002.npz
 
-    :meth:`append` builds generation ``k+1`` beside the committed
-    generation ``k`` (re-slicing the old columns plus the new one into
-    fresh shards), finalizes its manifest, then atomically flips the
-    pointer and garbage-collects the old generation.  The pointer flip
-    is the *only* commit point, so a crash at any instant leaves either
-    generation ``k`` or generation ``k+1`` committed — never a torn
-    store — and a restarted service replays the missed interval into
-    the same (deterministic) bytes.
+    :meth:`append` writes interval ``k+1`` once, as a one-snapshot store
+    through :class:`StoreWriter` (the interval's own /24s in one shard
+    file), then writes the ``gen_<k+1>/`` manifest — the committed
+    interval files, the /24 union, and the dataset SHA-256 — then
+    atomically flips the pointer and garbage-collects older generation
+    manifests.  Committed interval files are never rewritten or
+    deleted, so a tick writes O(interval) bytes; it still reads every
+    committed column once, for the dataset digest, whose header
+    carries the snapshot count.  The pointer flip is the *only* commit
+    point: a crash at any instant leaves generation ``k`` or ``k+1``
+    committed — never a torn store — and a restarted service replays
+    the missed interval, rewriting its uncommitted files by atomic
+    replace with the same (deterministic) bytes.
 
     The optional *commit_hook* is called with
     :data:`COMMIT_PHASE_FINALIZED` after the new generation's manifest
@@ -1097,6 +1446,7 @@ class StoreAppender:
         self._shard_blocks = shard_blocks
         self._commit_hook = commit_hook
         self._store: DatasetStore | None = None
+        self._bases: NDArray[np.int64] = np.empty(0, dtype=np.int64)
         generation = read_live_pointer(self._root)
         self._committed = 0 if generation is None else generation
         if generation is not None:
@@ -1121,7 +1471,16 @@ class StoreAppender:
                     f"with start={start.isoformat()} "
                     f"window_days={window_days} shard_blocks={shard_blocks}"
                 )
+            if store.block_bases is None:
+                raise DatasetError(
+                    f"live store at {self._root} uses the whole-history "
+                    f"generation layout ({generation_dir_name(generation)} "
+                    "holds full shards, not interval files); it stays "
+                    "readable, but appending to it would rewrite that "
+                    "history — collect into a new store directory"
+                )
             self._store = store
+            self._bases = store.block_bases
 
     @property
     def root(self) -> str:
@@ -1155,51 +1514,92 @@ class StoreAppender:
             )
         return ips_col, hits_col
 
+    def _write_interval(
+        self,
+        interval: int,
+        ips: NDArray[Any],
+        hits: NDArray[Any],
+        bases: NDArray[np.int64],
+    ) -> list[StoreShard]:
+        """Write interval *interval* as a one-snapshot store; its shard(s).
+
+        The interval's shard row is renamed relative to the generation
+        directories, which sit beside ``intervals/`` in the root.
+        """
+        intervals = os.path.join(self._root, INTERVALS_DIR_NAME)
+        interval_root = os.path.join(intervals, interval_dir_name(interval))
+        created = not os.path.isdir(interval_root)
+        writer = StoreWriter(
+            interval_root,
+            start=self._start
+            + datetime.timedelta(days=(interval - 1) * self._window_days),
+            window_days=self._window_days,
+            num_snapshots=1,
+            shard_blocks=max(1, int(bases.size)),
+        )
+        if created:
+            _fsync_directory(intervals)
+        if bases.size:
+            writer.add_shard(bases, [(ips, hits)])
+        written = writer.finalize()
+        gen_dir = os.path.join(self._root, generation_dir_name(interval))
+        return [
+            StoreShard(
+                gen_dir,
+                replace(
+                    shard.info,
+                    name=interval_shard_name(interval, shard.info.block_stop),
+                ),
+                range(interval - 1, interval),
+            )
+            for shard in written.shards
+        ]
+
     def append(self, ips: NDArray[Any], hits: NDArray[Any]) -> DatasetStore:
         """Commit snapshot ``committed + 1`` and return the new store.
 
         *ips*/*hits* are one interval's sorted sparse columns (the
         shapes every snapshot carries).  The commit is crash-safe: the
-        new generation's manifest is written before the pointer flips,
-        and the old generation is removed only after.
+        interval's files and then the new generation's manifest are
+        durable before the pointer flips, committed intervals are never
+        touched, and older generation manifests are removed only after
+        the flip.
         """
         ips_col, hits_col = self._validated_column(ips, hits)
         generation = self._committed + 1
         gen_dir = os.path.join(self._root, generation_dir_name(generation))
-        if os.path.isdir(gen_dir):
-            # A crash between finalize and pointer flip leaves a complete
-            # but uncommitted generation; rebuilding it from scratch is
-            # deterministic, so replay converges on identical bytes.
-            shutil.rmtree(gen_dir)  # reprolint: disable=P602 -- removes only the *uncommitted* next generation, which no pointer has ever named; the committed generation is untouched (covered by the commit-phase fault-injection tests)
+        new_bases = np.unique((ips_col & np.uint32(0xFFFFFF00)).astype(np.int64))
+        added = self._write_interval(generation, ips_col, hits_col, new_bases)
         prev = self._store
-        if prev is None:
-            prev_bases = np.empty(0, dtype=np.int64)
-        else:
-            prev_bases = prev.active_block_bases()
-        new_bases = np.unique(
-            (ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
-        )
-        union = np.union1d(prev_bases, new_bases)
-        writer = StoreWriter(
+        bases = np.union1d(self._bases, new_bases)  # O(active /24s)
+        store = DatasetStore(
             gen_dir,
             start=self._start,
             window_days=self._window_days,
             num_snapshots=generation,
             shard_blocks=self._shard_blocks,
+            num_blocks=int(bases.size),
+            dataset_sha256="",
+            shards=([] if prev is None else prev.shards) + added,
+            block_bases=bases,
         )
-        for offset in range(0, int(union.size), self._shard_blocks):
-            chunk = union[offset : offset + self._shard_blocks]
-            lo = int(chunk[0])
-            hi = int(chunk[-1]) + _BLOCK_SPAN - 1  # inclusive top address
-            columns: list[tuple[NDArray[Any], NDArray[Any]]] = []
-            for index in range(self._committed):
-                assert prev is not None
-                columns.append(prev.column_slice(index, lo, hi))
-            left = int(np.searchsorted(ips_col, lo))
-            right = int(np.searchsorted(ips_col, hi, side="right"))
-            columns.append((ips_col[left:right], hits_col[left:right]))
-            writer.add_shard(chunk, columns)
-        store = writer.finalize()
+        store.dataset_sha256 = store.digest()
+        payload = {
+            "schema": INTERVAL_FORMAT_VERSION,
+            "start_ordinal": self._start.toordinal(),
+            "window_days": self._window_days,
+            "num_snapshots": generation,
+            "shard_blocks": self._shard_blocks,
+            "num_blocks": int(bases.size),
+            "dataset_sha256": store.dataset_sha256,
+            "block_bases": [int(base) for base in bases],
+            "shards": [
+                {**shard.info.as_dict(), "snapshot": shard.snapshots.start}
+                for shard in store.shards
+            ],
+        }
+        os.makedirs(gen_dir, exist_ok=True)
+        atomic_write_text(store_manifest_path(gen_dir), _manifest_text(payload))
         self._signal(COMMIT_PHASE_FINALIZED)
         atomic_write_text(
             live_pointer_path(self._root),
@@ -1210,13 +1610,12 @@ class StoreAppender:
             + "\n",
         )
         self._signal(COMMIT_PHASE_FLIPPED)
-        if prev is not None:
-            prev.close()
         for entry in os.listdir(self._root):
             match = _GENERATION_PATTERN.match(entry)
             if match is not None and int(match.group(1)) != generation:
                 shutil.rmtree(os.path.join(self._root, entry), ignore_errors=True)
         self._store = store
+        self._bases = bases
         self._committed = generation
         obs.add("store_appends_total")
         return store

@@ -7,8 +7,8 @@ serve``.  Each tick it:
    (:class:`~repro.sim.engine.LiveShardSimulator`) and the routing
    evolution the matching number of days;
 2. commits the interval's column to the live store through
-   :class:`~repro.core.store.StoreAppender` (manifest-last inside the
-   generation, pointer-last across generations);
+   :class:`~repro.core.store.StoreAppender` (the interval's own
+   files, then the generation manifest, then the pointer flip);
 3. folds the column into the incremental analyses
    (:class:`~repro.core.metrics.IncrementalBlockMetrics`,
    :class:`~repro.core.churn.IncrementalChurn`) — batch twins stay the

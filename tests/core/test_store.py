@@ -30,6 +30,7 @@ from repro.core.io import (
 from repro.core.store import (
     DatasetStore,
     RawNpzReader,
+    StoreAppender,
     StoreWriter,
     is_store,
     shard_file_name,
@@ -491,32 +492,63 @@ class TestStreamedEquivalenceProperties:
     # All-empty days: no active address at all.
     @example(ActivityDataset([snap(0, []), snap(1, [])]), 1)
     def test_streamed_equals_in_memory(self, dataset, shard_blocks):
+        # Both layouts: a batch store tiles addresses, a live store
+        # appended interval by interval tiles time; every read path
+        # (streamed folds, to_dataset, column_slice, digest) must give
+        # the in-memory answer on either.
         with tempfile.TemporaryDirectory() as root:
-            store = save_store(root, dataset, shard_blocks=shard_blocks)
-            assert store.dataset_sha256 == dataset_digest(dataset)
-            if not any(s.ips.size for s in dataset):
-                with pytest.raises(DatasetError, match="no active addresses"):
-                    metrics.compute_block_metrics(dataset)
-                with pytest.raises(DatasetError, match="no active addresses"):
-                    metrics.compute_block_metrics_streamed(store)
-            else:
-                reference = metrics.compute_block_metrics(dataset)
-                streamed = metrics.compute_block_metrics_streamed(store)
-                for name in ("bases", "filling_degree", "stu"):
-                    ours, theirs = getattr(streamed, name), getattr(reference, name)
-                    assert ours.dtype == theirs.dtype, name
-                    assert np.array_equal(ours, theirs), name
-                assert streamed.filling_degree.dtype == np.int64
-                assert streamed.stu.dtype == np.float64
-                assert streamed.window_days == reference.window_days
-            assert churn.transition_churn_streamed(
-                store
-            ) == churn.transition_churn(dataset)
-            sizes = [1, 2, len(dataset)]
-            assert churn.churn_by_window_size_streamed(
-                store, sizes
-            ) == churn.churn_by_window_size(dataset, sizes)
-            store.close()
+            batch = save_store(f"{root}/batch", dataset, shard_blocks=shard_blocks)
+            with StoreAppender(
+                f"{root}/live", start=dataset.start, window_days=1,
+                shard_blocks=shard_blocks,
+            ) as appender:
+                for snapshot in dataset:
+                    appender.append(snapshot.ips, snapshot.hits)
+            live = open_store(f"{root}/live")
+            for store in (batch, live):
+                check_store_equals_in_memory(store, dataset)
+                store.close()
+
+
+def check_store_equals_in_memory(store, dataset):
+    assert store.dataset_sha256 == dataset_digest(dataset)
+    assert store.digest() == dataset_digest(dataset)
+    for expected, got in zip(dataset, store.to_dataset()):
+        assert np.array_equal(expected.ips, got.ips)
+        assert np.array_equal(expected.hits, got.hits)
+    for index, snapshot in enumerate(dataset):
+        bounds = [(0, 2**32 - 1), (0x0A000100, 0x0A0001FF),
+                  (0x0A000005, 0x51000003), (0xFFFFFF00, 0xFFFFFFFF)]
+        if snapshot.ips.size:
+            # Bounds on active addresses: both ends are inclusive.
+            first, last = int(snapshot.ips[0]), int(snapshot.ips[-1])
+            bounds += [(first, last), (last, last), (first + 1, last - 1)]
+        for lo, hi in bounds:
+            keep = (snapshot.ips >= lo) & (snapshot.ips <= hi)
+            ips, hits = store.column_slice(index, lo, hi)
+            assert ips.dtype == np.uint32 and hits.dtype == np.uint64
+            assert np.array_equal(ips, snapshot.ips[keep])
+            assert np.array_equal(hits, snapshot.hits[keep])
+    if not any(s.ips.size for s in dataset):
+        with pytest.raises(DatasetError, match="no active addresses"):
+            metrics.compute_block_metrics(dataset)
+        with pytest.raises(DatasetError, match="no active addresses"):
+            metrics.compute_block_metrics_streamed(store)
+    else:
+        reference = metrics.compute_block_metrics(dataset)
+        streamed = metrics.compute_block_metrics_streamed(store)
+        for name in ("bases", "filling_degree", "stu"):
+            ours, theirs = getattr(streamed, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype, name
+            assert np.array_equal(ours, theirs), name
+        assert streamed.filling_degree.dtype == np.int64
+        assert streamed.stu.dtype == np.float64
+        assert streamed.window_days == reference.window_days
+    assert churn.transition_churn_streamed(store) == churn.transition_churn(dataset)
+    sizes = [1, 2, len(dataset)]
+    assert churn.churn_by_window_size_streamed(
+        store, sizes
+    ) == churn.churn_by_window_size(dataset, sizes)
 
 
 class TestUnionRunOrdering:

@@ -1,24 +1,33 @@
 """Tests for the live-store append path (StoreAppender + generations).
 
-Pins the crash-safety contract: a generation is a complete store,
-``live.json`` flips to it only after its manifest lands (manifest-last
-within a generation, pointer-last across generations), and a crash at
-any phase leaves a state from which deterministic replay rebuilds the
-identical bytes.
+A live store commits each interval once, as an immutable one-snapshot
+store under ``intervals/<k>/``, and lists the committed intervals in a
+manifest-only ``gen_<k>/`` generation that the ``live.json`` pointer
+names.  These tests pin the crash-safety contract — interval files,
+then the generation manifest, then the pointer; a crash at any phase
+leaves a state from which deterministic replay rebuilds the identical
+bytes — and the write-once contract: no append rewrites or deletes a
+committed interval file, so an append's bytes do not grow with the
+history.  Roots in the earlier whole-history layout (each ``gen_<k>/``
+a complete store) stay readable and are refused for appending.
 """
 
 import datetime
+import glob
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.core.dataset import ActivityDataset
 from repro.core.io import open_store, save_store
 from repro.core.store import (
     COMMIT_PHASE_FINALIZED,
     COMMIT_PHASE_FLIPPED,
     DatasetStore,
+    RawNpzReader,
     StoreAppender,
     generation_dir_name,
     is_store,
@@ -27,7 +36,8 @@ from repro.core.store import (
     resolve_store_root,
 )
 from repro.errors import DatasetError
-from tests.core.test_store import make_dataset
+from repro.obs.manifest import dataset_digest
+from tests.core.test_store import make_dataset, snap
 
 DAY0 = datetime.date(2015, 8, 17)
 
@@ -198,6 +208,49 @@ class TestCrashProtocol:
         assert survived == 1
         assert recovered == 2
 
+    @pytest.mark.parametrize(
+        "phase", [COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED]
+    )
+    def test_crash_on_an_interval_adding_a_lower_block(self, tmp_path, phase):
+        # Interval 2 activates a /24 below every block of interval 1, so
+        # the committed union and the range partition both change at
+        # the crash; replay must still converge on the batch bytes.
+        dataset = ActivityDataset(
+            [
+                snap(0, [0x0A000001, 0x0B000005], [3, 4]),
+                snap(1, [0x01000002, 0x0A000001], [7, 8]),
+                snap(2, [0x01000002, 0x0B000006], [1, 2]),
+            ]
+        )
+        root = tmp_path / "live"
+
+        def hook(at_phase):
+            if at_phase == phase and hook.interval == 2:
+                raise _Bomb(at_phase)
+
+        with StoreAppender(
+            root, start=DAY0, window_days=1, shard_blocks=1, commit_hook=hook
+        ) as appender:
+            for interval, (ips, hits) in enumerate(columns_of(dataset), start=1):
+                hook.interval = interval
+                try:
+                    appender.append(ips, hits)
+                except _Bomb:
+                    break
+        expected = 2 if phase == COMMIT_PHASE_FLIPPED else 1
+        assert read_live_pointer(root) == expected
+        with StoreAppender(
+            root, start=DAY0, window_days=1, shard_blocks=1
+        ) as resumed:
+            assert resumed.committed == expected
+            for ips, hits in columns_of(dataset)[expected:]:
+                store = resumed.append(ips, hits)
+            assert store.dataset_sha256 == dataset_digest(dataset)
+            assert store.block_bases.tolist() == [0x01000000, 0x0A000000, 0x0B000000]
+        with open_store(root) as reopened:
+            assert reopened.digest() == dataset_digest(dataset)
+            assert len(list(reopened.iter_shards())) == 3
+
     def test_stale_generation_is_ignored_on_open(self, tmp_path):
         dataset = make_dataset()
         root = tmp_path / "live"
@@ -268,9 +321,109 @@ class TestColumnSlice:
         assert empty_ips.dtype == np.uint32 and empty_hits.dtype == np.uint64
         store.close()
 
-    def test_active_block_bases_union(self, tmp_path):
+    def test_block_bases_union(self, tmp_path):
+        # The live store records the /24 union of every appended
+        # interval in its generation manifest; a reopened store reads
+        # it back without touching a column.
+        root = tmp_path / "live"
+        append_all(root, make_dataset())
+        with DatasetStore.open(resolve_store_root(root)) as store:
+            assert store.block_bases.tolist() == [
+                0x0A000000, 0x0A000100, 0x0B000000, 0xC0000200
+            ]
+            assert store.num_blocks == 4
+
+
+def interval_files(root, pattern="shard_*.npz"):
+    return sorted(glob.glob(os.path.join(root, "intervals", "*", pattern)))
+
+
+def file_state(path):
+    with open(path, "rb") as stream:
+        sha256 = hashlib.sha256(stream.read()).hexdigest()
+    stat = os.stat(path)
+    return stat.st_ino, stat.st_size, sha256
+
+
+class TestIntervalLayout:
+    def steady_dataset(self, days=8):
+        """Same-size days whose /24 set changes, so appends differ only
+        in history length."""
+        bases = [0x0A000000, 0x0A000100, 0x0B000000, 0x01000000]
+        return ActivityDataset(
+            [
+                snap(
+                    day,
+                    sorted(bases[(day + k) % len(bases)] + day + k for k in range(3)),
+                    [day + 1] * 3,
+                )
+                for day in range(days)
+            ]
+        )
+
+    def test_committed_interval_files_are_never_rewritten(self, tmp_path):
+        root = str(tmp_path / "live")
+        dataset = self.steady_dataset()
+        seen = {}
+        written = []
+        with StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2) as app:
+            for interval, (ips, hits) in enumerate(columns_of(dataset), start=1):
+                app.append(ips, hits)
+                assert len(interval_files(root)) == interval
+                files = interval_files(root, "*")
+                for path, state in seen.items():
+                    assert file_state(path) == state, f"rewritten: {path}"
+                fresh = [path for path in files if path not in seen]
+                assert len(fresh) == 2  # the shard file and its manifest
+                written.append(sum(os.path.getsize(path) for path in fresh))
+                seen.update({path: file_state(path) for path in fresh})
+        # One interval's bytes per append, whatever the history length
+        # (manifests differ only in the digits of their address ranges).
+        assert max(written) - min(written) <= 8
+        generations = [name for name in os.listdir(root) if name.startswith("gen_")]
+        assert generations == [generation_dir_name(len(dataset))]
+        assert os.listdir(os.path.join(root, generations[0])) == [
+            "store.manifest.json"
+        ]
+
+    def test_missing_interval_file_is_named(self, tmp_path):
+        root = str(tmp_path / "live")
+        append_all(root, make_dataset())
+        victim = interval_files(root)[1]
+        os.unlink(victim)
+        with pytest.raises(DatasetError, match="missing store shard") as excinfo:
+            open_store(root)
+        assert victim in str(excinfo.value)
+
+    def test_bit_flipped_interval_file_fails_verify(self, tmp_path):
+        root = str(tmp_path / "live")
+        append_all(root, make_dataset())
+        victim = interval_files(root)[-1]
+        with RawNpzReader(victim) as reader:
+            offset = reader.data_offset("ips_0")  # payload, not headers
+        with open(victim, "r+b") as stream:
+            stream.seek(offset)
+            byte = stream.read(1)
+            stream.seek(offset)
+            stream.write(bytes([byte[0] ^ 0xFF]))
+        with open_store(root) as store:
+            with pytest.raises(DatasetError, match="fingerprint mismatch") as excinfo:
+                store.verify()
+        assert victim in str(excinfo.value)
+
+    def test_whole_history_layout_reads_but_refuses_append(self, tmp_path):
+        # The earlier layout: each generation a complete address-tiled
+        # store, named by the pointer.
+        root = tmp_path / "live"
         dataset = make_dataset()
-        store = save_store(tmp_path / "store", dataset, shard_blocks=2)
-        bases = DatasetStore.open(store.root).active_block_bases()
-        assert bases.tolist() == [0x0A000000, 0x0A000100, 0x0B000000, 0xC0000200]
-        store.close()
+        save_store(
+            root / generation_dir_name(len(dataset)), dataset, shard_blocks=2
+        ).close()
+        with open(live_pointer_path(root), "w") as handle:
+            json.dump({"schema": 1, "generation": len(dataset)}, handle)
+        with open_store(root) as store:
+            assert store.dataset_sha256 == dataset_digest(dataset)
+            for expected, got in zip(dataset, store.to_dataset()):
+                assert np.array_equal(expected.ips, got.ips)
+        with pytest.raises(DatasetError, match="whole-history"):
+            StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2)

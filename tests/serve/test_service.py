@@ -96,6 +96,45 @@ class TestConvergence:
         assert service.block_metrics().num_blocks > 0
         assert len(service.churn_transitions()) == NUM_DAYS - 1
 
+    @pytest.mark.parametrize(
+        "phase", [COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED]
+    )
+    def test_crash_on_an_interval_adding_a_block_converges(self, tmp_path, phase):
+        # In this world a /24 is first active on day 4: the crash hits
+        # the append that grows the live store's /24 union.
+        config = SimulationConfig(
+            seed=21, num_slash8=5, num_ases=12, mean_blocks_per_as=3.0
+        )
+        dataset = CDNObservatory(InternetPopulation.build(config)).collect_daily(
+            NUM_DAYS
+        ).dataset
+        snapshots = list(dataset)
+        mask = np.uint32(0xFFFFFF00)
+        seen = {int(base) for s in snapshots[:3] for base in s.ips & mask}
+        assert {int(base) for base in snapshots[3].ips & mask} - seen
+
+        class Bomb(Exception):
+            pass
+
+        def hook(interval, at_phase):
+            if interval == 4 and at_phase == phase:
+                raise Bomb
+
+        root = tmp_path / "live"
+        with ObservatoryService(
+            config, num_days=NUM_DAYS, window_days=1, store_root=root,
+            commit_hook=hook,
+        ) as crashed:
+            with pytest.raises(Bomb):
+                crashed.run()
+        with ObservatoryService(
+            config, num_days=NUM_DAYS, window_days=1, store_root=root
+        ) as restarted:
+            assert restarted.committed == (4 if phase == COMMIT_PHASE_FLIPPED else 3)
+            report = restarted.run()
+        assert report.complete
+        assert report.dataset_sha256 == dataset_digest(dataset)
+
     def test_complete_store_is_idempotent(self, tmp_path):
         root = tmp_path / "live"
         _, first = serve_to_completion(root)

@@ -35,6 +35,12 @@ import numpy as np  # noqa: E402
 from repro.obs import peak_rss_bytes  # noqa: E402
 from repro.sim import CDNObservatory, InternetPopulation, SimulationConfig, bench_config  # noqa: E402
 
+#: The serial run — the figure :func:`gate_against` reads — is the best
+#: of at least this many back-to-back collections in this process: one
+#: short run is at the mercy of whatever else the machine does in its
+#: few dozen milliseconds, the best of several much less so.
+SERIAL_SAMPLES = 5
+
 
 def _datasets_identical(reference, candidate) -> bool:
     if len(reference) != len(candidate):
@@ -56,9 +62,11 @@ def measure(
 ) -> dict:
     """Collect *num_days* days at each worker count; return the record.
 
-    Each worker count runs ``repeats`` times and the fastest wall-clock
-    attempt is recorded (machine noise otherwise dominates small
-    worlds).  Worker counts above the machine's CPU count are measured
+    Each worker count runs ``repeats`` times — the serial one at least
+    :data:`SERIAL_SAMPLES` times — and the fastest wall-clock attempt is
+    recorded (machine noise otherwise dominates small worlds; the
+    record's ``serial_samples`` says how many serial attempts ran).
+    Worker counts above the machine's CPU count are measured
     anyway but flagged — an "oversubscribed" run times context
     switching, not scaling, and the record must say so rather than
     report a misleading sub-1.0 "speedup".
@@ -75,9 +83,10 @@ def measure(
     warnings: list[str] = []
     reference = None
     serial_wall = None
+    serial_samples = max(repeats, SERIAL_SAMPLES)
     for workers in workers_list:
         best = None
-        for _ in range(repeats):
+        for _ in range(serial_samples if workers == 1 else repeats):
             result = observatory.collect_daily(num_days, workers=workers)
             if reference is None:
                 reference = result.dataset
@@ -130,6 +139,7 @@ def measure(
             "num_days": num_days,
         },
         "repeats": repeats,
+        "serial_samples": serial_samples,
         "warnings": warnings,
         "runs": runs,
         "speedup_vs_serial": speedups,
@@ -217,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=1, metavar="N",
-        help="run each worker count N times, record the fastest (noise guard)",
+        help="run each worker count N times (the serial one at least "
+        f"{SERIAL_SAMPLES}), record the fastest (noise guard)",
     )
     parser.add_argument(
         "--gate-against", default=None, metavar="PATH",

@@ -4,10 +4,14 @@
 Synthesizes a store too large to analyze comfortably in RAM, then runs
 the streamed analyses (filling degree / STU, transition churn, the
 window-size churn sweep) in a child process whose heap is capped with
-``RLIMIT_DATA`` at the documented memory ceiling.  The streamed path
-must complete under the cap; the in-memory reference path is run in a
-second (uncapped) child and its peak RSS recorded, demonstrating that
-the same analyses would blow the ceiling without the store.
+``RLIMIT_DATA`` at the documented memory ceiling.  The same world is
+also appended day by day through ``StoreAppender`` into a live store
+(the ``repro serve`` layout: one interval file per day), outside any
+cap, and the same streamed analyses run over it in a second capped
+child.  Both streamed children must complete under the cap; the
+in-memory reference path is run in a third (uncapped) child and its
+peak RSS recorded, demonstrating that the same analyses would blow the
+ceiling without the store.
 
 Usage::
 
@@ -17,9 +21,10 @@ Usage::
     # a quick local run
     python tools/mem_ceiling.py --blocks 256 --days 30 --ceiling-mb 192
 
-Exit code 0 only when the streamed child finishes under the ceiling
+Exit code 0 only when both streamed children finish under the ceiling
 (and, unless ``--skip-inmemory``, the in-memory child's peak RSS
-exceeds it — a ceiling both paths fit under gates nothing).
+exceeds it — a ceiling both paths fit under gates nothing).  The live
+store is kept beside the batch one, at ``<store-root>-live``.
 
 The synthesizer (:func:`synthesize_store`) is deterministic per
 ``(seed, chunk)`` and writes shard-by-shard in bounded memory; the
@@ -90,6 +95,26 @@ def synthesize_store(
             columns.append((ips, hits))
         writer.add_shard(bases, columns)
     return writer.finalize()
+
+
+def append_live_store(store_root: str, live_root: str, shard_blocks: int = 64):
+    """Append every snapshot of the store at *store_root* to a live store.
+
+    One ``StoreAppender.append`` per snapshot, as ``repro serve`` commits
+    one interval per tick; resumes a partly built *live_root*.  Returns
+    the open live store.  Peak memory is one snapshot column.
+    """
+    from repro.core.io import open_store
+    from repro.core.store import StoreAppender
+
+    with open_store(store_root) as store:
+        with StoreAppender(
+            live_root, start=store.start, window_days=store.window_days,
+            shard_blocks=shard_blocks,
+        ) as appender:
+            for index in range(appender.committed, store.num_snapshots):
+                appender.append(*store.column_slice(index, 0, 2**32 - 1))
+    return open_store(live_root)
 
 
 def _child_streamed(root: str) -> None:
@@ -218,18 +243,28 @@ def main(argv: list[str] | None = None) -> int:
         store_bytes = store.nbytes()
         store.close()
         print(f"mem_ceiling: store is {store_bytes / (1 << 20):.1f} MiB on disk")
+        live_root = root.rstrip(os.sep) + "-live"
+        print(f"mem_ceiling: appending its {args.days} days to a live store "
+              f"at {live_root}")
+        live = append_live_store(root, live_root, shard_blocks=args.shard_blocks)
+        live_bytes = live.nbytes()
+        live.close()
 
         ceiling_bytes = args.ceiling_mb << 20
-        streamed = _run_child(root, "streamed", ceiling_bytes)
-        print(
-            f"mem_ceiling: streamed child "
-            f"{'finished' if streamed['ok'] else 'FAILED'} under "
-            f"{args.ceiling_mb} MiB RLIMIT_DATA "
-            f"(peak RSS {streamed['peak_rss_mb']} MiB, "
-            f"{streamed['elapsed_s']}s)"
-        )
-        results = [streamed]
-        passed = streamed["ok"]
+        results = []
+        passed = True
+        for layout, layout_root in (("batch", root), ("live", live_root)):
+            streamed = _run_child(layout_root, "streamed", ceiling_bytes)
+            streamed["layout"] = layout
+            print(
+                f"mem_ceiling: streamed child ({layout} store) "
+                f"{'finished' if streamed['ok'] else 'FAILED'} under "
+                f"{args.ceiling_mb} MiB RLIMIT_DATA "
+                f"(peak RSS {streamed['peak_rss_mb']} MiB, "
+                f"{streamed['elapsed_s']}s)"
+            )
+            results.append(streamed)
+            passed = passed and streamed["ok"]
         if not args.skip_inmemory:
             inmemory = _run_child(root, "inmemory", None)
             results.append(inmemory)
@@ -256,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             "fill": args.fill,
         },
         "store_bytes": store_bytes,
+        "live_store_bytes": live_bytes,
         "ceiling_mb": args.ceiling_mb,
         "children": results,
         "passed": passed,
