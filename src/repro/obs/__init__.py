@@ -8,20 +8,19 @@ Prometheus text format.
 
 The central object is the :class:`ObsContext` — picklable and
 mergeable, so each worker process records its own and the coordinator
-folds them into one run-wide view whose totals reconcile exactly with
-the engine's :class:`~repro.sim.engine.PerfCounters`.  Library code is
-instrumented through the ambient-context helpers (:func:`span`,
-:func:`add`, :func:`gauge`, :func:`event`), which are no-ops until a
-context is :func:`activate`\\ d — observability off means near-zero
-cost.
+folds them into one run-wide view.  That view is the run's single
+record: the engine's :class:`~repro.sim.engine.PerfCounters` is derived
+from it, never timed separately.  Library code is instrumented through
+the ambient-context helpers (:func:`span`, :func:`add`, :func:`gauge`,
+:func:`event`), which are no-ops until a context is :func:`activate`\\ d
+— observability off means near-zero cost.
 
 Typical use (what ``repro simulate --trace-out`` does)::
 
     from repro import obs
 
     ctx = obs.ObsContext()
-    with obs.activate(ctx):
-        result = observatory.collect_daily(28, workers=4, obs=ctx)
+    result = observatory.collect_daily(28, workers=4, obs=ctx)
     manifest = obs.build_manifest(ctx, dataset=result.dataset)
     obs.write_manifest("world.manifest.json", manifest)
     print(obs.to_prometheus(ctx))
@@ -35,7 +34,7 @@ from repro.obs.context import (
     add,
     event,
     gauge,
-    maybe_activate,
+    run_context,
     span,
 )
 from repro.obs.counters import MetricSet, validate_metric_name
@@ -73,8 +72,8 @@ __all__ = [
     "gauge",
     "load_manifest",
     "manifest_path_for",
-    "maybe_activate",
     "peak_rss_bytes",
+    "run_context",
     "span",
     "to_prometheus",
     "to_trace_json",

@@ -15,11 +15,11 @@ count, shard map, fingerprint).  It is:
 The module also provides the *ambient* context used by instrumented
 library code (:func:`span`, :func:`add`, :func:`gauge`,
 :func:`event`): a process-global slot installed with
-:func:`activate`.  When no context is active every helper is a no-op,
-so instrumentation in hot paths costs one attribute check when
-observability is off.  The slot is per process — worker processes never
-inherit the coordinator's context; they build their own and ship it
-back explicitly.
+:func:`activate` (or, for one run's own record, :func:`run_context`).
+When no context is active every helper is a no-op, so instrumentation
+in hot paths costs one attribute check when observability is off.  The
+slot is per process — worker processes never inherit the coordinator's
+context; they build their own and ship it back explicitly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.counters import MetricSet, SupportsAsDict
+from repro.obs.counters import MetricSet
 from repro.obs.spans import SpanRecorder
 
 
@@ -75,10 +75,10 @@ class ObsContext:
     def event(self, kind: str, **fields: Any) -> None:
         """Append an event and bump its ``event_<kind>_total`` counter.
 
-        The automatic counter gives every event kind a mergeable total,
-        which is how the engine's resilience bookkeeping
-        (retried/degraded/resumed/checkpointed) stays reconcilable with
-        the returned :class:`~repro.sim.engine.PerfCounters`.
+        The automatic counter gives every event kind a mergeable total;
+        the engine's resilience figures (retried/degraded/resumed/
+        checkpointed) in :class:`~repro.sim.engine.PerfCounters` and
+        :class:`~repro.sim.engine.ShardProgress` are read from it.
         """
         self.events.append(RunEvent(kind, dict(fields)))
         self.metrics.add(f"event_{kind}_total")
@@ -120,10 +120,6 @@ class ObsContext:
         ctx.info = dict(payload.get("info", {}))
         return ctx
 
-    def absorb_perf_counters(self, perf: SupportsAsDict) -> None:
-        """Mirror the engine's per-run summary into ``collect_*`` gauges."""
-        self.metrics.absorb_perf_counters(perf)
-
 
 # -- the ambient context (module-level instrumentation API) ------------
 
@@ -151,11 +147,23 @@ def activate(ctx: ObsContext) -> Iterator[ObsContext]:
         _ACTIVE = previous
 
 
-def maybe_activate(
-    ctx: ObsContext | None,
-) -> AbstractContextManager[ObsContext | None]:
-    """``activate(ctx)`` when *ctx* is set, else a no-op context manager."""
-    return activate(ctx) if ctx is not None else nullcontext()
+@contextmanager
+def run_context(into: ObsContext | None) -> Iterator[ObsContext]:
+    """Record one run into a fresh, activated context.
+
+    The fresh context is the run's own record: everything derived from
+    it (the engine's :class:`~repro.sim.engine.PerfCounters`, say)
+    describes this run alone, even when the caller reuses *into*
+    across runs.  On exit — normal or not, so a failed run keeps its
+    audit trail — the fresh context is merged into *into* when given.
+    """
+    ctx = ObsContext()
+    try:
+        with activate(ctx):
+            yield ctx
+    finally:
+        if into is not None:
+            into.merge(ctx)
 
 
 def span(name: str) -> AbstractContextManager[SpanRecorder | None]:

@@ -7,14 +7,9 @@ different merge behaviour:
   simulated, shards retried).  Merging two sets *sums* counters, so the
   union of four worker payloads reports the same totals as one serial
   run — the property the observability merge tests pin down.
-- **gauges** are point-in-time readings (worker count, wall seconds of
-  a phase).  Merging takes the *max*, so replicated readings of the
+- **gauges** are point-in-time readings (bytes mapped by a load, a
+  live service's committed interval count).  Merging takes the *max*, so replicated readings of the
   same quantity collapse instead of summing into nonsense.
-
-The set absorbs the engine's :class:`~repro.sim.engine.PerfCounters`
-(:meth:`MetricSet.absorb_perf_counters`), extending rather than
-replacing it: ``PerfCounters`` stays the engine's return type, while
-the metric set is the exported, mergeable view of the same numbers.
 
 Names must match ``[a-zA-Z_][a-zA-Z0-9_]*`` so every metric is
 exportable to Prometheus text format unmodified.
@@ -23,21 +18,11 @@ exportable to Prometheus text format unmodified.
 from __future__ import annotations
 
 import re
-from typing import Any, Protocol
+from typing import Any
 
 from repro.errors import ObservabilityError
 
 _METRIC_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-class SupportsAsDict(Protocol):
-    """Anything exposing a flat name-to-number view of itself.
-
-    Structural stand-in for the engine's ``PerfCounters`` (importing it
-    here would invert the layering: the engine depends on obs, not the
-    other way around)."""
-
-    def as_dict(self) -> dict[str, int | float]: ...
 
 
 def validate_metric_name(name: str) -> None:
@@ -114,15 +99,3 @@ class MetricSet:
             validate_metric_name(name)
             metrics._gauges[name] = float(value)
         return metrics
-
-    # -- PerfCounters absorption ---------------------------------------
-
-    def absorb_perf_counters(self, perf: SupportsAsDict) -> None:
-        """Mirror a :class:`~repro.sim.engine.PerfCounters` into gauges.
-
-        Every field of the engine's per-run summary becomes a
-        ``collect_*`` gauge (they are per-run readings, not mergeable
-        totals), so one exporter pass carries the whole perf story.
-        """
-        for name, value in perf.as_dict().items():
-            self.set_gauge(f"collect_{name}", value)

@@ -117,6 +117,9 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self._stats)
 
+    def __contains__(self, path: object) -> bool:
+        return path in self._stats
+
     def paths(self) -> list[str]:
         """Every recorded span path, in sorted order."""
         return sorted(self._stats)

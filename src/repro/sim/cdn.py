@@ -26,7 +26,6 @@ the determinism contract.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -480,44 +479,35 @@ class CDNObservatory:
             if not 0 <= day < num_days:
                 raise ConfigError(f"scan day {day} outside run of {num_days} days")
 
-        total_start = time.perf_counter()
         population = self.population
-        plan = plan_collection(population, num_days, scenario=scenario)
-        schedule = plan.schedule
-
-        routing_start = time.perf_counter()
-        with obs_api.maybe_activate(obs), obs_api.span("collect/routing"):
-            routing_tables = RoutingEvolution(
-                population, schedule, plan.noise_rng
-            ).run(num_days)
-        routing_seconds = time.perf_counter() - routing_start
-
-        outcome = run_sharded_collection(
-            population,
-            num_days=num_days,
-            window_days=window_days,
-            ua_window=ua_window,
-            scan_days=scan_days,
-            login_panel_rate=login_panel_rate,
-            directives=plan.directives,
-            perturbations=plan.perturbations,
-            workers=workers,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            fault=fault,
-            obs=obs,
-            progress=progress,
-            store_dir=store_dir,
-            store_shard_blocks=store_shard_blocks,
-        )
-        perf = outcome.perf
-        perf.routing_seconds = routing_seconds
-        perf.total_seconds = time.perf_counter() - total_start
-        if obs is not None:
-            obs.absorb_perf_counters(perf)
-
+        with obs_api.run_context(obs) as run_ctx:
+            with obs_api.span("collect/plan"):
+                plan = plan_collection(population, num_days, scenario=scenario)
+            schedule = plan.schedule
+            with obs_api.span("collect/routing"):
+                routing_tables = RoutingEvolution(
+                    population, schedule, plan.noise_rng
+                ).run(num_days)
+            outcome = run_sharded_collection(
+                population,
+                num_days=num_days,
+                window_days=window_days,
+                ua_window=ua_window,
+                scan_days=scan_days,
+                login_panel_rate=login_panel_rate,
+                directives=plan.directives,
+                perturbations=plan.perturbations,
+                workers=workers,
+                max_retries=max_retries,
+                retry_backoff=retry_backoff,
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
+                fault=fault,
+                obs=run_ctx,
+                progress=progress,
+                store_dir=store_dir,
+                store_shard_blocks=store_shard_blocks,
+            )
         return CollectionResult(
             dataset=(
                 None if outcome.store is not None
@@ -529,7 +519,7 @@ class CDNObservatory:
             scan_states=outcome.scan_states,
             final_kinds=outcome.final_kinds,
             login_trace=outcome.login_trace,
-            perf=perf,
+            perf=PerfCounters.from_context(run_ctx),
             store=outcome.store,
         )
 

@@ -208,11 +208,6 @@ class ShardTask:
     #: 0-based worker attempt, bumped by the coordinator on retry.
     #: Only the fault hook reads it — simulation streams never do.
     attempt: int = 0
-    #: When True, the worker records spans/counters into a shard-local
-    #: :class:`~repro.obs.context.ObsContext` and ships the payload
-    #: back in :attr:`ShardResult.obs`.  Never touches any simulation
-    #: stream, so observed and unobserved runs are bit-identical.
-    observe: bool = False
 
 
 @dataclass
@@ -228,20 +223,40 @@ class ShardResult:
     final_kinds: dict[int, PolicyKind]
     addr_days: int
     #: Shard-local observability payload (plain dicts, picklable);
-    #: ``None`` unless the task requested observation.  Checkpoints do
-    #: not persist it — a resumed shard performed no simulation.
+    #: ``None`` for a shard loaded from a checkpoint, which does not
+    #: persist it — a resumed shard performed no simulation.
     obs: dict | None = None
+
+
+#: Resilience field of :class:`ShardProgress` -> the event kind whose
+#: ``event_<kind>_total`` counter holds it (``PerfCounters`` carries
+#: the same figures as ``shards_<field>``).
+_RESILIENCE_EVENTS = {
+    "retried": "retry",
+    "degraded": "degrade",
+    "resumed": "resume",
+    "checkpointed": "checkpoint_save",
+}
+
+
+def _resilience_totals(ctx: ObsContext) -> dict[str, int]:
+    """The run's retry/degrade/resume/checkpoint totals, read off *ctx*."""
+    return {
+        field: int(ctx.metrics.counter(f"event_{kind}_total"))
+        for field, kind in _RESILIENCE_EVENTS.items()
+    }
 
 
 @dataclass
 class PerfCounters:
     """Per-phase wall-clock and throughput of one collection run.
 
-    ``sim_seconds`` covers the sharded block simulation (including any
-    executor overhead), ``merge_seconds`` the k-way combination of
-    shard outputs, ``routing_seconds`` the coordinator's routing-table
-    evolution.  Throughputs are computed over the simulation phase,
-    the part sharding accelerates.
+    A view of the run's :class:`~repro.obs.context.ObsContext`, built
+    by :meth:`from_context`.  ``sim_seconds`` covers the sharded block
+    simulation (including any executor overhead), ``merge_seconds``
+    the k-way combination of shard outputs, ``routing_seconds`` the
+    coordinator's routing-table evolution.  Throughputs are computed
+    over the simulation phase, the part sharding accelerates.
     """
 
     workers: int
@@ -261,6 +276,45 @@ class PerfCounters:
     shards_resumed: int = 0
     #: Shard checkpoints written during this run.
     shards_checkpointed: int = 0
+
+    @classmethod
+    def from_context(cls, ctx: ObsContext) -> "PerfCounters":
+        """Derive one run's summary from the context it recorded into.
+
+        Phase times are the wall seconds of the coordinator spans
+        ``collect/{plan,routing,simulate,merge}`` (a phase the run did
+        not record reads 0) and ``total_seconds`` is their sum;
+        ``addr_days`` is the ``shard_addr_days`` counter, the
+        resilience fields are ``event_<kind>_total`` counters, and the
+        run's shape comes from ``ctx.info``.  *ctx* must hold exactly
+        one run, as the per-run context of
+        :func:`~repro.obs.context.run_context` does.
+        """
+        phases = {
+            phase: (
+                ctx.spans.stats(f"collect/{phase}").wall_seconds
+                if f"collect/{phase}" in ctx.spans
+                else 0.0
+            )
+            for phase in ("plan", "routing", "simulate", "merge")
+        }
+        info = ctx.info
+        totals = _resilience_totals(ctx)
+        return cls(
+            workers=info["workers"],
+            shards=len(info["shard_map"]),
+            num_blocks=info["num_blocks"],
+            num_days=info["num_days"],
+            addr_days=int(ctx.metrics.counter("shard_addr_days")),
+            sim_seconds=phases["simulate"],
+            merge_seconds=phases["merge"],
+            routing_seconds=phases["routing"],
+            total_seconds=sum(phases.values()),
+            shards_retried=totals["retried"],
+            shards_degraded=totals["degraded"],
+            shards_resumed=totals["resumed"],
+            shards_checkpointed=totals["checkpointed"],
+        )
 
     @property
     def block_days(self) -> int:
@@ -405,11 +459,12 @@ def simulate_shard(task: ShardTask) -> ShardResult:
     is keyed per block, so the result is independent of how blocks were
     grouped into shards.
 
-    With ``task.observe`` set, the shard additionally records a
-    ``collect/shard/simulate`` span and its layout-invariant counters
-    (``shard_addr_days``, ``shard_blocks``) into a shard-local context
-    whose payload rides back on :attr:`ShardResult.obs`; summing those
-    payloads across any shard layout reproduces the serial totals.
+    The shard also records a ``collect/shard/simulate`` span and its
+    layout-invariant counters (``shard_addr_days``, ``shard_blocks``)
+    into a shard-local context whose payload rides back on
+    :attr:`ShardResult.obs`; summing those payloads across any shard
+    layout reproduces the serial totals.  Recording touches no
+    simulation stream.
     """
     if task.fault is not None and task.fault.should_fail(
         task.config.seed, task.shard_index, task.attempt
@@ -417,8 +472,6 @@ def simulate_shard(task: ShardTask) -> ShardResult:
         raise InjectedWorkerFault(
             f"injected fault: shard {task.shard_index} attempt {task.attempt}"
         )
-    if not task.observe:
-        return _simulate_shard_blocks(task)
     ctx = ObsContext()
     with ctx.spans.span("collect/shard/simulate"):
         result = _simulate_shard_blocks(task)
@@ -725,7 +778,7 @@ class _ShardKernel:
 
 
 def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
-    """The whole shard horizon in one kernel call (both observe modes)."""
+    """The whole shard horizon in one kernel call."""
     kernel = _ShardKernel(task)
     kernel.advance(task.num_days)
     return kernel.result()
@@ -951,23 +1004,14 @@ class _ShardColumn:
     hits: np.ndarray
 
 
-@dataclass
-class _ResilienceCounters:
-    """Mutable scratch for the retry/checkpoint/resume bookkeeping."""
-
-    retried: int = 0
-    degraded: int = 0
-    resumed: int = 0
-    checkpointed: int = 0
-
-
 @dataclass(frozen=True)
 class ShardProgress:
     """One heartbeat of a running collection (the ``--progress`` feed).
 
     Emitted to the caller's progress callback every time a shard
     finishes — whether simulated, loaded from a checkpoint, or rescued
-    in-process — together with a snapshot of the resilience counters.
+    in-process — together with the run's resilience totals so far, read
+    from the ``event_<kind>_total`` counters of its observation context.
     """
 
     done: int
@@ -986,8 +1030,7 @@ def _backoff_seconds(attempt: int, base: float) -> float:
 
 
 def _degrade_in_process(
-    task: ShardTask, error: BaseException, max_retries: int,
-    counters: _ResilienceCounters,
+    task: ShardTask, error: BaseException, max_retries: int
 ) -> ShardResult:
     """Last resort for a shard that exhausted its worker retries.
 
@@ -1007,7 +1050,6 @@ def _degrade_in_process(
             f"shard {task.shard_index} failed {max_retries + 1} worker attempts "
             "and in-process recovery is disabled by the fault plan"
         ) from error
-    counters.degraded += 1
     obs_api.event("degrade", shard=task.shard_index, error=type(error).__name__)
     try:
         return simulate_shard(replace(task, fault=None, attempt=0))
@@ -1025,13 +1067,39 @@ def _degrade_in_process(
         raise
 
 
+def _after_failure(
+    index: int,
+    attempt: int,
+    error: Exception,
+    can_retry: bool,
+    retry_backoff: float,
+) -> str:
+    """The retry policy of both shard loops, after a worker attempt failed.
+
+    Returns ``"retry"`` once the retry is recorded and its backoff slept,
+    ``"degrade"`` when the shard goes to the in-process fallback (a
+    retryable error with no retry left), and ``"raise"`` for any other
+    error: that is a simulation bug, recorded for the audit trail, and
+    the caller re-raises it as itself (rule E303).
+    """
+    if not isinstance(error, RETRYABLE_WORKER_ERRORS):
+        obs_api.event("worker_error", shard=index, error=type(error).__name__)
+        return "raise"
+    if not can_retry:
+        return "degrade"
+    obs_api.event(
+        "retry", shard=index, attempt=attempt + 1, error=type(error).__name__
+    )
+    time.sleep(_backoff_seconds(attempt, retry_backoff))
+    return "retry"
+
+
 def _run_shards_parallel(
     tasks: list[ShardTask],
     todo: list[int],
     workers: int,
     max_retries: int,
     retry_backoff: float,
-    counters: _ResilienceCounters,
     on_complete,
 ) -> tuple[dict[int, ShardResult], list[tuple[int, BaseException]]]:
     """Execute *todo* shards across worker processes with retries.
@@ -1059,16 +1127,16 @@ def _run_shards_parallel(
                     broken = True
                     failed.append((index, exc))
                     continue
-                except RETRYABLE_WORKER_ERRORS as exc:
-                    if broken or attempt >= max_retries:
+                except Exception as exc:
+                    verdict = _after_failure(
+                        index, attempt, exc,
+                        not broken and attempt < max_retries, retry_backoff,
+                    )
+                    if verdict == "raise":
+                        raise
+                    if verdict == "degrade":
                         failed.append((index, exc))
                         continue
-                    counters.retried += 1
-                    obs_api.event(
-                        "retry", shard=index, attempt=attempt + 1,
-                        error=type(exc).__name__,
-                    )
-                    time.sleep(_backoff_seconds(attempt, retry_backoff))
                     retry = replace(tasks[index], attempt=attempt + 1)
                     try:
                         inflight[pool.submit(simulate_shard, retry)] = (
@@ -1079,14 +1147,6 @@ def _run_shards_parallel(
                         broken = True
                         failed.append((index, exc))
                     continue
-                except Exception as exc:
-                    # A non-retryable worker error is a simulation bug:
-                    # record it for the audit trail and fail the run
-                    # with the original exception (rule E303).
-                    obs_api.event(
-                        "worker_error", shard=index, error=type(exc).__name__
-                    )
-                    raise
                 results[index] = result
                 on_complete(index, result)
     return results, failed
@@ -1127,14 +1187,16 @@ def run_sharded_collection(
     loads matching checkpoints first and simulates only the remainder.
     *fault* installs a deterministic injected-failure plan (tests/CI).
 
-    Observability: with *obs* set, the run records coordinator spans
+    Observability: the run always records into its own fresh
+    :class:`~repro.obs.context.ObsContext` — coordinator spans
     (``collect/simulate``, ``collect/merge``), run identity in
-    ``obs.info``, retry/degrade/resume events, and — merged in shard
-    order, so the result is deterministic — every worker's shard-local
-    payload.  *progress* (a callable taking one :class:`ShardProgress`)
-    is invoked each time a shard finishes, however it finished.  None
-    of this touches any random stream: an observed run's dataset is
-    bit-identical to an unobserved one.
+    ``info``, retry/degrade/resume/checkpoint events, and, merged in
+    shard order so the result is deterministic, every worker's
+    shard-local payload.  The outcome's :class:`PerfCounters` is
+    derived from that context, and the context is merged into *obs*
+    when one is given.  *progress* (a callable taking one
+    :class:`ShardProgress`) is invoked each time a shard finishes,
+    however it finished.  None of this touches any random stream.
 
     Out-of-core: with *store_dir* set, the merge phase writes the
     dataset directly as a sharded store of *store_shard_blocks* /24s
@@ -1177,14 +1239,10 @@ def run_sharded_collection(
                     if any(i in members for i in indexes)
                 ),
                 fault=fault,
-                observe=obs is not None,
             )
         )
 
-    # The fingerprint keys checkpoints *and* identifies the run in its
-    # manifest, so compute it whenever either consumer is present.
-    fingerprint: str | None = None
-    if checkpoint_dir is not None or obs is not None:
+    with obs_api.run_context(obs) as run_ctx:
         fingerprint = run_fingerprint(
             config,
             num_days,
@@ -1195,8 +1253,7 @@ def run_sharded_collection(
             directives,
             perturbations,
         )
-    if obs is not None:
-        obs.info.update(
+        run_ctx.info.update(
             seed=config.seed,
             workers=workers,
             num_days=num_days,
@@ -1205,51 +1262,41 @@ def run_sharded_collection(
             shard_map=[[start, stop] for start, stop in bounds],
             fingerprint=fingerprint,
         )
-    counters = _ResilienceCounters()
-    results_by_index: dict[int, ShardResult] = {}
+        results_by_index: dict[int, ShardResult] = {}
 
-    def checkpoint(index: int, result: ShardResult) -> None:
-        if checkpoint_dir is not None:
-            save_shard_checkpoint(checkpoint_dir, fingerprint, tasks[index], result)
-            counters.checkpointed += 1
+        def checkpoint(index: int, result: ShardResult) -> None:
+            if checkpoint_dir is not None:
+                save_shard_checkpoint(checkpoint_dir, fingerprint, tasks[index], result)
 
-    done_cell = [0]
+        done_cell = [0]
 
-    def heartbeat() -> None:
-        # Called exactly once per finished shard (simulated, resumed,
-        # or degraded), including from the parallel completion loop
-        # where results have not landed in results_by_index yet.
-        done_cell[0] += 1
-        if progress is not None:
-            progress(
-                ShardProgress(
-                    done=done_cell[0],
-                    total=len(tasks),
-                    retried=counters.retried,
-                    degraded=counters.degraded,
-                    resumed=counters.resumed,
-                    checkpointed=counters.checkpointed,
+        def heartbeat() -> None:
+            # Called exactly once per finished shard (simulated, resumed,
+            # or degraded), including from the parallel completion loop
+            # where results have not landed in results_by_index yet.
+            done_cell[0] += 1
+            if progress is not None:
+                progress(
+                    ShardProgress(
+                        done=done_cell[0],
+                        total=len(tasks),
+                        **_resilience_totals(run_ctx),
+                    )
                 )
-            )
 
-    with obs_api.maybe_activate(obs):
-        sim_start = time.perf_counter()
         with obs_api.span("collect/simulate"):
             if checkpoint_dir is not None and resume:
                 for index, task in enumerate(tasks):
                     loaded = load_shard_checkpoint(checkpoint_dir, fingerprint, task)
                     if loaded is not None:
                         results_by_index[index] = loaded
-                        counters.resumed += 1
-                        if obs is not None:
-                            # A resumed shard ships no worker payload
-                            # (nothing was simulated), so the
-                            # coordinator contributes its layout-
-                            # invariant counters to keep run totals
-                            # reconcilable with PerfCounters.
-                            obs.event("resume", shard=index)
-                            obs.add("shard_addr_days", loaded.addr_days)
-                            obs.add("shard_blocks", len(task.blocks))
+                        # A resumed shard ships no worker payload
+                        # (nothing was simulated), so the coordinator
+                        # contributes its layout-invariant counters to
+                        # keep the run totals whole.
+                        run_ctx.event("resume", shard=index)
+                        run_ctx.add("shard_addr_days", loaded.addr_days)
+                        run_ctx.add("shard_blocks", len(task.blocks))
                         heartbeat()
 
             todo = [
@@ -1258,6 +1305,8 @@ def run_sharded_collection(
             failed: list[tuple[int, BaseException]] = []
             if todo:
                 if workers == 1 or len(todo) == 1:
+                    # Serial order: a shard's retries finish before the
+                    # next shard starts.
                     for index in todo:
                         attempt = 0
                         while True:
@@ -1265,27 +1314,18 @@ def run_sharded_collection(
                                 result = simulate_shard(
                                     replace(tasks[index], attempt=attempt)
                                 )
-                            except RETRYABLE_WORKER_ERRORS as exc:
-                                if attempt < max_retries:
-                                    counters.retried += 1
-                                    obs_api.event(
-                                        "retry", shard=index, attempt=attempt + 1,
-                                        error=type(exc).__name__,
-                                    )
-                                    time.sleep(_backoff_seconds(attempt, retry_backoff))
+                            except Exception as exc:
+                                verdict = _after_failure(
+                                    index, attempt, exc,
+                                    attempt < max_retries, retry_backoff,
+                                )
+                                if verdict == "raise":
+                                    raise
+                                if verdict == "retry":
                                     attempt += 1
                                     continue
                                 failed.append((index, exc))
                                 break
-                            except Exception as exc:
-                                # Same contract as the parallel path: a
-                                # non-retryable error is recorded, then
-                                # fails the run as itself (rule E303).
-                                obs_api.event(
-                                    "worker_error", shard=index,
-                                    error=type(exc).__name__,
-                                )
-                                raise
                             results_by_index[index] = result
                             checkpoint(index, result)
                             heartbeat()
@@ -1296,8 +1336,7 @@ def run_sharded_collection(
                         heartbeat()
 
                     parallel_results, failed = _run_shards_parallel(
-                        tasks, todo, workers, max_retries, retry_backoff, counters,
-                        on_complete,
+                        tasks, todo, workers, max_retries, retry_backoff, on_complete
                     )
                     results_by_index.update(parallel_results)
 
@@ -1306,92 +1345,76 @@ def run_sharded_collection(
             # a degraded shard turns out fatal, the maximum of
             # completed work survives on disk for a --resume restart.
             for index, error in failed:
-                result = _degrade_in_process(tasks[index], error, max_retries, counters)
+                result = _degrade_in_process(tasks[index], error, max_retries)
                 results_by_index[index] = result
                 checkpoint(index, result)
                 heartbeat()
 
             results = [results_by_index[index] for index in range(len(tasks))]
-        sim_seconds = time.perf_counter() - sim_start
 
-    # Fold worker payloads in shard order — not completion order — so
-    # the merged context is deterministic for a given shard layout.
-    if obs is not None:
+        # Fold worker payloads in shard order — not completion order — so
+        # the merged context is deterministic for a given shard layout.
         for result in results:
             if result.obs is not None:
-                obs.merge_payload(result.obs)
+                run_ctx.merge_payload(result.obs)
 
-    merge_start = time.perf_counter()
-    with obs_api.maybe_activate(obs), obs_api.span("collect/merge"):
-        num_windows = num_days // window_days
-        snapshots: list[Snapshot] = []
-        store: DatasetStore | None = None
-        if store_dir is not None:
-            store = _merge_results_to_store(
-                results,
-                config.start_date,
-                window_days,
-                num_windows,
-                store_dir,
-                store_shard_blocks,
-            )
-        else:
-            window_start = config.start_date
-            for window in range(num_windows):
-                columns = [
-                    _ShardColumn(
-                        result.window_ips[window], result.window_hits[window]
-                    )
-                    for result in results
-                ]
-                ips, hits = kway_union(columns)
-                snapshots.append(Snapshot(window_start, window_days, ips, hits))
-                window_start += datetime.timedelta(days=window_days)
+        with obs_api.span("collect/merge"):
+            num_windows = num_days // window_days
+            snapshots: list[Snapshot] = []
+            store: DatasetStore | None = None
+            if store_dir is not None:
+                store = _merge_results_to_store(
+                    results,
+                    config.start_date,
+                    window_days,
+                    num_windows,
+                    store_dir,
+                    store_shard_blocks,
+                )
+            else:
+                window_start = config.start_date
+                for window in range(num_windows):
+                    columns = [
+                        _ShardColumn(
+                            result.window_ips[window], result.window_hits[window]
+                        )
+                        for result in results
+                    ]
+                    ips, hits = kway_union(columns)
+                    snapshots.append(Snapshot(window_start, window_days, ips, hits))
+                    window_start += datetime.timedelta(days=window_days)
 
-        ua_store: UASampleStore | None = None
-        if ua_window is not None:
-            ua_store = UASampleStore()
+            ua_store: UASampleStore | None = None
+            if ua_window is not None:
+                ua_store = UASampleStore()
+                for result in results:
+                    for base, counter in result.ua_samples.items():
+                        ua_store.samples.setdefault(base, Counter()).update(counter)
+
+            login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
+            if login_panel_rate > 0:
+                login_trace = []
+                for day in range(num_days):
+                    pairs = [result.login_trace[day] for result in results]
+                    day_ips = [ips for ips, _ in pairs if ips.size]
+                    day_users = [users for _, users in pairs if users.size]
+                    if day_ips:
+                        login_trace.append(
+                            (np.concatenate(day_ips), np.concatenate(day_users))
+                        )
+                    else:
+                        login_trace.append(
+                            (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
+                        )
+
+            scan_states: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
+            final_kinds: dict[int, PolicyKind] = {}
             for result in results:
-                for base, counter in result.ua_samples.items():
-                    ua_store.samples.setdefault(base, Counter()).update(counter)
+                for day, states in result.scan_states.items():
+                    scan_states.setdefault(day, {}).update(states)
+                final_kinds.update(result.final_kinds)
 
-        login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
-        if login_panel_rate > 0:
-            login_trace = []
-            for day in range(num_days):
-                pairs = [result.login_trace[day] for result in results]
-                day_ips = [ips for ips, _ in pairs if ips.size]
-                day_users = [users for _, users in pairs if users.size]
-                if day_ips:
-                    login_trace.append(
-                        (np.concatenate(day_ips), np.concatenate(day_users))
-                    )
-                else:
-                    login_trace.append(
-                        (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
-                    )
-
-        scan_states: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
-        final_kinds: dict[int, PolicyKind] = {}
-        for result in results:
-            for day, states in result.scan_states.items():
-                scan_states.setdefault(day, {}).update(states)
-            final_kinds.update(result.final_kinds)
-    merge_seconds = time.perf_counter() - merge_start
-
-    perf = PerfCounters(
-        workers=workers,
-        shards=len(tasks),
-        num_blocks=len(blocks),
-        num_days=num_days,
-        addr_days=sum(result.addr_days for result in results),
-        sim_seconds=sim_seconds,
-        merge_seconds=merge_seconds,
-        shards_retried=counters.retried,
-        shards_degraded=counters.degraded,
-        shards_resumed=counters.resumed,
-        shards_checkpointed=counters.checkpointed,
-    )
+    perf = PerfCounters.from_context(run_ctx)
     return ShardedOutcome(
         snapshots=snapshots,
         ua_store=ua_store,

@@ -124,11 +124,26 @@ class TestAmbientApi:
                 raise ValueError("boom")
         assert obs_api.active() is None
 
-    def test_maybe_activate_none_is_noop(self):
-        with obs_api.maybe_activate(None):
-            assert obs_api.active() is None
+    def test_run_context_records_fresh_and_merges_on_exit(self):
+        into = ObsContext()
+        into.add("hits", 2)
+        with obs_api.run_context(into) as run:
+            assert obs_api.active() is run and run is not into
+            obs_api.add("hits")
+            assert into.metrics.counter("hits") == 2
+        assert obs_api.active() is None
+        assert run.metrics.counter("hits") == 1
+        assert into.metrics.counter("hits") == 3
 
-    def test_maybe_activate_context(self):
-        ctx = ObsContext()
-        with obs_api.maybe_activate(ctx):
-            assert obs_api.active() is ctx
+    def test_run_context_merges_a_failed_run(self):
+        into = ObsContext()
+        with pytest.raises(ValueError):
+            with obs_api.run_context(into):
+                obs_api.event("worker_error", shard=0)
+                raise ValueError("boom")
+        assert len(into.events_of("worker_error")) == 1
+
+    def test_run_context_without_target(self):
+        with obs_api.run_context(None) as run:
+            obs_api.add("hits")
+        assert run.metrics.counter("hits") == 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.counters import MetricSet, validate_metric_name
-from repro.sim.engine import PerfCounters
 
 
 class TestValidation:
@@ -91,22 +90,3 @@ class TestMerge:
         with pytest.raises(ObservabilityError):
             MetricSet.from_dict({"counters": {"bad name": 1}})
 
-
-class TestPerfAbsorption:
-    def test_perf_counters_become_collect_gauges(self):
-        perf = PerfCounters(
-            workers=4,
-            shards=4,
-            num_blocks=10,
-            num_days=7,
-            addr_days=123,
-            sim_seconds=0.5,
-            merge_seconds=0.1,
-        )
-        m = MetricSet()
-        m.absorb_perf_counters(perf)
-        assert m.gauge("collect_workers") == 4.0
-        assert m.gauge("collect_addr_days") == 123.0
-        # Every field of the perf summary is mirrored.
-        for name in perf.as_dict():
-            assert m.gauge(f"collect_{name}") is not None

@@ -166,6 +166,12 @@ class TestBenchRecord:
         for run in record["runs"]:
             assert run["total_s"] > 0
             assert run["addr_days_per_s"] > 0
+        serial = record["runs"][0]
+        assert serial["sim_cpu_s"] > 0
+        assert serial["addr_days_per_cpu_s"] == pytest.approx(
+            serial["addr_days"] / serial["sim_cpu_s"], rel=1e-3
+        )
+        assert "addr_days_per_cpu_s" not in record["runs"][1]
         assert "2" in record["speedup_vs_serial"]
         assert "wrote" in capsys.readouterr().out
 
@@ -229,6 +235,22 @@ class TestBenchRecord:
         passed, message = bench_record.gate_against(gate_record, slower, 0.30)
         assert not passed and "gate FAILED" in message
 
+    def test_gate_compares_cpu_rate_when_both_carry_it(
+        self, bench_record, gate_record
+    ):
+        baseline = json.loads(json.dumps(gate_record))
+        baseline["runs"][0]["addr_days_per_cpu_s"] = 1000.0
+        record = json.loads(json.dumps(baseline))
+        record["runs"][0]["addr_days_per_s"] = 1.0  # wall rate: ignored
+        passed, message = bench_record.gate_against(baseline, record, 0.30)
+        assert passed and "serial addr_days_per_cpu_s" in message
+        record["runs"][0]["addr_days_per_cpu_s"] = 600.0
+        passed, message = bench_record.gate_against(baseline, record, 0.30)
+        assert not passed and "addr_days_per_cpu_s" in message
+        # A baseline without the CPU rate is gated on the wall rate.
+        passed, message = bench_record.gate_against(gate_record, record, 0.30)
+        assert not passed and "serial addr_days_per_s" in message
+
     def test_gate_skips_on_world_shape_mismatch(self, bench_record, gate_record):
         other = json.loads(json.dumps(gate_record))
         other["world"]["num_blocks"] = 999
@@ -258,7 +280,8 @@ class TestBenchRecord:
         record = json.loads(out.read_text())
         for run in record["runs"]:
             if run["workers"] == 1:
-                run["addr_days_per_s"] *= 100.0  # impossible baseline
+                # An impossible baseline, in the rate the gate compares.
+                run["addr_days_per_cpu_s"] *= 100.0
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(record))
         capsys.readouterr()
