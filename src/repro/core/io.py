@@ -9,12 +9,26 @@ aggregation precedes its offline study.
 Formats:
 
 - datasets: a single ``.npz`` with per-snapshot IP/hit columns plus a
-  small header (start date, window length) — compressed by default,
-  loads back bit-identically.  ``save_dataset(..., compress=False)``
-  stores the arrays raw, which loads several times faster on large
-  worlds; ``load_dataset`` autodetects either flavour (both are
-  ``.npz`` zip bundles, only the member compression differs).  The
-  ``.npz`` suffix is appended when missing, so ``save_dataset("data",
+  small header (start date, window length, format version); loads
+  back bit-identically.  Two versions exist, and ``load_dataset``
+  reads both:
+
+  - **v2** (the default, ``compress=True``): each snapshot's sorted
+    ``ips`` are stored as gaps (the first entry is the absolute
+    address) and its ``hits`` as they are, each column narrowed to
+    the smallest unsigned dtype that holds its maximum and split into
+    its little-endian byte planes (a ``uint8`` array of shape
+    ``(itemsize, n)``), then deflated at zlib level 1.  On the
+    benchmark's world 564 (56 daily snapshots, 33.5 MB of raw
+    columns) that writes 5.2 MB in ~0.3 s of CPU, against 10.2 MB in
+    ~3 s for numpy's ``savez_compressed`` (zlib level 6) on the raw
+    columns, and a load takes ~0.17 s of CPU against ~0.19 s;
+  - **v1** (``compress=False``): the raw ``uint32``/``uint64``
+    columns, stored uncompressed.  Bundles written before the codec
+    hold the same v1 columns deflated at zlib level 6; they still
+    load.
+
+  The ``.npz`` suffix is appended when missing, so ``save_dataset("data",
   ds)`` and ``load_dataset("data")`` round-trip; writes are atomic
   (temp file + ``os.replace``), so a crash mid-write cannot leave a
   truncated artifact behind;
@@ -27,7 +41,7 @@ Formats:
   to and from the legacy single-file format bit-identically.
 
 ``load_dataset`` additionally has a zero-copy fast path: when every
-member of the bundle is stored raw (``compress=False``), the snapshot
+member of a v1 bundle is stored raw (``compress=False``), the snapshot
 columns are memory-mapped read-only instead of being decompressed
 through a full in-memory copy per array.
 """
@@ -40,7 +54,7 @@ import os
 import tempfile
 import zipfile
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -56,14 +70,29 @@ from repro.routing.table import RoutingTable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.store import DatasetStore
 
-_FORMAT_VERSION = 1
+#: Dataset bundle versions (see the module docstring): v2 holds codec
+#: columns, v1 raw ones.  ``compress=False`` still writes v1, which
+#: the zero-copy fast path maps straight out of the file.
+_FORMAT_VERSION = 2
+_RAW_FORMAT_VERSION = 1
+
+#: zlib level of compressed bundles: on byte planes of narrowed
+#: columns, level 1 writes a smaller file than level 6 does on the
+#: raw columns, at a fraction of the CPU.
+_DEFLATE_LEVEL = 1
+
+#: Byte widths of the narrowed dtypes, ``uint8`` to ``uint64``: the
+#: byte-plane counts a v2 column may have.  Gaps must fit ``uint32``,
+#: the decoded ``ips`` dtype.
+_WIDTHS = (1, 2, 4, 8)
+_IPS_WIDTHS = (1, 2, 4)
 
 
 def _dataset_path(path: str | os.PathLike[str]) -> str:
     """Canonical on-disk path: append ``.npz`` when missing.
 
-    ``np.savez_compressed`` appends the suffix on its own; save and
-    load must apply the same rule or suffixless round-trips break.
+    Save and load both apply it, so ``save_dataset("data", ...)`` and
+    ``load_dataset("data")`` name the same file.
     """
     text = os.fspath(path)
     if not text.endswith(".npz"):
@@ -93,10 +122,16 @@ def _fsync_directory(directory: str) -> None:
 
 def atomic_write_npz(
     path: str | os.PathLike[str],
-    arrays: dict[str, NDArray[Any]],
+    arrays: Iterable[tuple[str, NDArray[Any]]],
     compress: bool = True,
 ) -> None:
     """Durably and atomically write *arrays* as an ``.npz`` at *path*.
+
+    *arrays* yields ``(name, array)`` members in file order; a
+    generator lets the caller build each member only as it is written.
+    ``compress=False`` stores the members raw, byte for byte what
+    ``np.savez`` writes; ``compress=True`` deflates them at zlib level
+    :data:`_DEFLATE_LEVEL`.  Either way ``np.load`` opens the result.
 
     The data goes to a temporary file in the target's directory, is
     fsynced, renamed over *path*, and the directory entry is fsynced —
@@ -110,12 +145,20 @@ def atomic_write_npz(
     handle, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(target) + ".", suffix=".tmp", dir=directory
     )
+    compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     try:
         with os.fdopen(handle, "wb") as stream:
-            if compress:
-                np.savez_compressed(stream, **arrays)
-            else:
-                np.savez(stream, **arrays)
+            with zipfile.ZipFile(
+                stream, "w", compression, allowZip64=True,
+                compresslevel=_DEFLATE_LEVEL,
+            ) as bundle:
+                for name, array in arrays:
+                    # force_zip64 as np.savez does: a member's size is
+                    # unknown until it has been streamed.
+                    with bundle.open(name + ".npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array(
+                            member, np.asanyarray(array), allow_pickle=False
+                        )
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(temp_path, target)
@@ -158,15 +201,63 @@ def atomic_write_text(
         raise
 
 
+def _encode_column(column: NDArray[Any]) -> NDArray[np.uint8]:
+    """The v2 form of one column: narrowed, then split into byte planes.
+
+    The column is cast to the narrowest little-endian unsigned dtype
+    that holds its maximum, and row ``k`` of the ``(itemsize, n)``
+    result holds byte ``k`` of every entry — the mostly-zero high
+    bytes of small gaps and counts then deflate as long runs.
+    """
+    top = int(column.max()) if column.size else 0
+    width = next(w for w in _WIDTHS if top >> (8 * w) == 0)
+    narrowed = column.astype(f"<u{width}", copy=False)
+    return np.ascontiguousarray(narrowed.view(np.uint8).reshape(-1, width).T)
+
+
+def _decode_column(
+    planes: NDArray[Any], widths: tuple[int, ...], member: str
+) -> NDArray[Any]:
+    """Invert :func:`_encode_column`; reject a member it could not write."""
+    if planes.dtype != np.uint8 or planes.ndim != 2 or planes.shape[0] not in widths:
+        raise DatasetError(
+            f"{member} is not a byte-plane column "
+            f"(dtype {planes.dtype}, shape {planes.shape})"
+        )
+    width = planes.shape[0]
+    return np.ascontiguousarray(planes.T).view(f"<u{width}").reshape(-1)
+
+
+def _dataset_members(
+    dataset: ActivityDataset, compress: bool
+) -> Iterator[tuple[str, NDArray[Any]]]:
+    """The bundle members of *dataset*, each encoded as it is yielded."""
+    yield "version", np.array([_FORMAT_VERSION if compress else _RAW_FORMAT_VERSION])
+    yield "start", np.array([dataset.start.toordinal()])
+    yield "window_days", np.array([dataset.window_days])
+    yield "num_snapshots", np.array([len(dataset)])
+    for index, snapshot in enumerate(dataset):
+        if compress:
+            gaps = np.diff(snapshot.ips, prepend=np.uint32(0))
+            yield f"ips_{index}", _encode_column(gaps)
+            yield f"hits_{index}", _encode_column(snapshot.hits)
+        else:
+            yield f"ips_{index}", snapshot.ips
+            yield f"hits_{index}", snapshot.hits
+
+
 def save_dataset(
     path: str | os.PathLike[str], dataset: ActivityDataset, compress: bool = True
 ) -> None:
     """Write a dataset to ``path`` as ``.npz``.
 
-    ``compress=False`` stores the arrays uncompressed — the bundle is
-    larger on disk but loads ~5-10x faster for large worlds, the right
-    trade-off for intermediate artifacts in a collect-then-analyze
-    pipeline.  :func:`load_dataset` reads either flavour.
+    ``compress=True`` writes a v2 bundle through the column codec (see
+    the module docstring).  ``compress=False`` writes the raw v1
+    columns uncompressed — 6.4x the bytes on disk on the benchmark's
+    world 564 (33.5 MB against 5.2 MB), but :func:`load_dataset` maps
+    them without decoding, the right trade-off for intermediate
+    artifacts in a collect-then-analyze pipeline.
+    :func:`load_dataset` reads either flavour.
 
     The write is atomic and durable: data goes to a temporary file in
     the same directory which is fsynced and then renamed over *path*
@@ -175,16 +266,7 @@ def save_dataset(
     """
     target = _dataset_path(path)
     with obs.span("io/save_dataset"):
-        arrays: dict[str, NDArray[Any]] = {
-            "version": np.array([_FORMAT_VERSION]),
-            "start": np.array([dataset.start.toordinal()]),
-            "window_days": np.array([dataset.window_days]),
-            "num_snapshots": np.array([len(dataset)]),
-        }
-        for index, snapshot in enumerate(dataset):
-            arrays[f"ips_{index}"] = snapshot.ips
-            arrays[f"hits_{index}"] = snapshot.hits
-        atomic_write_npz(target, arrays, compress=compress)
+        atomic_write_npz(target, _dataset_members(dataset, compress), compress=compress)
         obs.add("datasets_saved_total")
 
 
@@ -250,7 +332,7 @@ def _load_dataset_raw(target: str) -> ActivityDataset | None:
         return None
     mapped_bytes = 0
     try:
-        if int(reader.array("version")[0]) != _FORMAT_VERSION:
+        if int(reader.array("version")[0]) != _RAW_FORMAT_VERSION:
             return None
         start = datetime.date.fromordinal(int(reader.array("start")[0]))
         window_days = int(reader.array("window_days")[0])
@@ -290,23 +372,25 @@ def _load_dataset(target: str) -> ActivityDataset:
             start = datetime.date.fromordinal(int(bundle["start"][0]))
             window_days = int(bundle["window_days"][0])
             count = int(bundle["num_snapshots"][0])
-            if version != _FORMAT_VERSION:
+            if version not in (_RAW_FORMAT_VERSION, _FORMAT_VERSION):
                 raise DatasetError(f"unsupported dataset format version: {version}")
             snapshots = []
             for index in range(count):
+                ips = bundle[f"ips_{index}"]
+                hits = bundle[f"hits_{index}"]
+                if version == _FORMAT_VERSION:
+                    gaps = _decode_column(ips, _IPS_WIDTHS, f"ips_{index}")
+                    # A zero gap or a sum past 2**32 decodes to ips that
+                    # are not strictly increasing: Snapshot rejects them.
+                    ips = np.cumsum(gaps, dtype=np.uint32)
+                    hits = _decode_column(hits, _WIDTHS, f"hits_{index}")
+                    hits = hits.astype(np.uint64)
                 window_start = start + datetime.timedelta(days=index * window_days)
-                snapshots.append(
-                    Snapshot(
-                        window_start,
-                        window_days,
-                        bundle[f"ips_{index}"],
-                        bundle[f"hits_{index}"],
-                    )
-                )
+                snapshots.append(Snapshot(window_start, window_days, ips, hits))
         except KeyError as exc:
             raise DatasetError(f"not a dataset file: {target}") from exc
-        except DatasetError:
-            raise
+        except DatasetError as exc:
+            raise DatasetError(f"invalid dataset file: {target} ({exc})") from exc
         except _CORRUPT_NPZ_ERRORS as exc:
             # Truncation inside a member surfaces only when the member
             # is decompressed, i.e. mid-decode rather than at np.load.

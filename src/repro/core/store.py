@@ -1323,7 +1323,7 @@ class StoreWriter:
             arrays[f"hits_{index}"] = hits_col
         name = shard_file_name(block_start, block_stop)
         path = os.path.join(self._root, name)
-        atomic_write_npz(path, arrays, compress=False)
+        atomic_write_npz(path, arrays.items(), compress=False)
         sha256, nbytes = _file_sha256(path)
         info = ShardInfo(
             name=name,

@@ -218,7 +218,7 @@ def save_shard_checkpoint(
     with obs_api.span("checkpoint/save"):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         arrays = serialize_shard_result(result, fingerprint, start, stop)
-        atomic_write_npz(path, arrays, compress=False)
+        atomic_write_npz(path, arrays.items(), compress=False)
     obs_api.event(
         "checkpoint_save", shard=result.shard_index, blocks=[start, stop]
     )

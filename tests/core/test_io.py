@@ -1,12 +1,21 @@
 """Tests for repro.core.io (dataset and routing persistence)."""
 
 import datetime
+import pathlib
+import tempfile
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import ActivityDataset, Snapshot
 from repro.core.io import (
+    _WIDTHS,
+    _decode_column,
+    _encode_column,
+    atomic_write_npz,
     load_dataset,
     load_routing_series,
     parse_routing_table,
@@ -15,6 +24,7 @@ from repro.core.io import (
 )
 from repro.errors import DatasetError, RoutingError
 from repro.net.prefix import Prefix
+from repro.obs.manifest import dataset_digest
 from repro.routing.series import RoutingSeries
 from repro.routing.table import RoutingTable
 
@@ -82,14 +92,21 @@ class TestDatasetIO:
 
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         """A crash mid-write must not leave a truncated artifact."""
-        import numpy as np_mod
+        real_write_array = np.lib.format.write_array
+        written = []
 
         def boom(*args, **kwargs):
-            raise RuntimeError("disk full")
+            # Fail mid-bundle: after the header and the first snapshot's
+            # ips member have reached the temp file.
+            if len(written) == 5:
+                raise RuntimeError("disk full")
+            written.append(args)
+            return real_write_array(*args, **kwargs)
 
-        monkeypatch.setattr(np_mod, "savez_compressed", boom)
+        monkeypatch.setattr(np.lib.format, "write_array", boom)
         with pytest.raises(RuntimeError):
             save_dataset(tmp_path / "broken.npz", make_dataset())
+        assert len(written) == 5
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_foreign_npz(self, tmp_path):
@@ -195,6 +212,297 @@ class TestDatasetIO:
         loaded = load_dataset(path)
         assert loaded.total_unique() == dataset.total_unique()
         assert loaded.hit_totals().tolist() == dataset.hit_totals().tolist()
+
+
+def write_bundle(path, version, ips, hits, writer=np.savez):
+    """A one-snapshot dataset bundle with hand-chosen column members."""
+    writer(
+        path,
+        version=np.array([version]),
+        start=np.array([DAY0.toordinal()]),
+        window_days=np.array([1]),
+        num_snapshots=np.array([1]),
+        ips_0=ips,
+        hits_0=hits,
+    )
+
+
+def byte_planes(values, dtype):
+    """The v2 member of a column, built by hand: its little-endian bytes."""
+    column = np.array(values, dtype=dtype)
+    return np.ascontiguousarray(
+        column.view(np.uint8).reshape(-1, column.itemsize).T
+    )
+
+
+class TestColumnValidation:
+    @pytest.mark.parametrize("writer", [np.savez, np.savez_compressed])
+    def test_unsorted_v1_ips_error_names_file(self, tmp_path, writer):
+        """Regression: Snapshot's bare "ips must be sorted" error left the
+        loader without the path, unlike every other corrupt-file error."""
+        path = tmp_path / "unsorted.npz"
+        ips = np.array([30, 10, 20], dtype=np.uint32)
+        write_bundle(path, 1, ips, np.ones(3, dtype=np.uint64), writer)
+        with pytest.raises(DatasetError, match=r"unsorted\.npz.*sorted"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "ips, hits, reason",
+        [
+            pytest.param(
+                byte_planes([5, 0], np.uint8), byte_planes([1, 1], np.uint8),
+                "sorted and unique",
+                id="zero-gap",
+            ),
+            pytest.param(
+                byte_planes([0xFFFFFFFF, 2], np.uint32),
+                byte_planes([1, 1], np.uint8),
+                "sorted and unique",
+                id="wrapping-gaps",
+            ),
+            pytest.param(
+                np.array([1, 2], dtype=np.uint64), byte_planes([1, 1], np.uint8),
+                "ips_0 is not a byte-plane column",
+                id="uint64-ips-member",
+            ),
+            pytest.param(
+                byte_planes([1, 2], np.uint64), byte_planes([1, 1], np.uint8),
+                "ips_0 is not a byte-plane column",
+                id="uint64-gap-planes",
+            ),
+            pytest.param(
+                byte_planes([1, 2], np.uint8).astype(np.int8),
+                byte_planes([1, 1], np.uint8),
+                "ips_0 is not a byte-plane column",
+                id="signed-ips-member",
+            ),
+            pytest.param(
+                byte_planes([1, 2], np.uint8).astype(np.float64),
+                byte_planes([1, 1], np.uint8),
+                "ips_0 is not a byte-plane column",
+                id="float-ips-member",
+            ),
+            pytest.param(
+                np.array([1, 2], dtype=np.uint8), byte_planes([1, 1], np.uint8),
+                "ips_0 is not a byte-plane column",
+                id="flat-ips-member",
+            ),
+            pytest.param(
+                byte_planes([1, 2], np.uint8), byte_planes([1], np.uint8),
+                "does not match",
+                id="short-hits",
+            ),
+            pytest.param(
+                byte_planes([1, 2], np.uint8),
+                byte_planes([1, 1], np.uint8).astype(np.int16),
+                "hits_0 is not a byte-plane column",
+                id="signed-hits-member",
+            ),
+        ],
+    )
+    def test_corrupt_v2_error_names_file(self, tmp_path, ips, hits, reason):
+        path = tmp_path / "bad.npz"
+        write_bundle(path, 2, ips, hits)
+        with pytest.raises(DatasetError, match=rf"bad\.npz.*{reason}"):
+            load_dataset(path)
+
+    def test_unknown_version_error_names_file(self, tmp_path):
+        path = tmp_path / "future.npz"
+        write_bundle(path, 3, np.array([1], np.uint32), np.array([1], np.uint64))
+        with pytest.raises(DatasetError, match=r"future\.npz.*version: 3"):
+            load_dataset(path)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+#: ``dataset_digest`` of :func:`fixture_dataset`, the content of every
+#: committed format fixture under ``fixtures/``.
+FIXTURE_SHA256 = "50c4a60bc3aa0e5a4cf183ffde0fdf92e3bbb4dbb2b9c99686063357c1effaba"
+
+
+def fixture_dataset():
+    """The dataset every ``fixtures/dataset_*.npz`` file holds.
+
+    ``dataset_v1_compressed.npz`` was written by the writer that
+    predates the column codec (``np.savez_compressed``, zlib level 6,
+    raw columns), ``dataset_v1_raw.npz`` and ``dataset_v2.npz`` by
+    ``save_dataset(..., compress=False)`` and ``save_dataset(...)``.
+    """
+    columns = [
+        (
+            [0, 1, 255, 256, 70000, 0x0A000001, 0xFFFFFFFF],
+            [1, 255, 256, 65536, 2**32, 7, 2**64 - 1],
+        ),
+        ([], []),
+        ([5, 6, 7], [1, 2, 3]),
+    ]
+    return ActivityDataset(
+        [
+            Snapshot(
+                DAY0 + datetime.timedelta(days=day),
+                1,
+                np.array(ips, dtype=np.uint32),
+                np.array(hits, dtype=np.uint64),
+            )
+            for day, (ips, hits) in enumerate(columns)
+        ]
+    )
+
+
+def bundle_members(path):
+    with np.load(path) as bundle:
+        return {
+            key: (bundle[key].dtype.str, bundle[key].shape, bundle[key].tobytes())
+            for key in bundle.files
+        }
+
+
+def assert_bit_identical(a, b):
+    assert (a.start, a.window_days, len(a)) == (b.start, b.window_days, len(b))
+    for snap_a, snap_b in zip(a, b):
+        assert snap_a.start == snap_b.start and snap_a.days == snap_b.days
+        for column_a, column_b in ((snap_a.ips, snap_b.ips), (snap_a.hits, snap_b.hits)):
+            assert column_a.dtype == column_b.dtype
+            assert column_a.tobytes() == column_b.tobytes()
+
+
+class TestFormatVersions:
+    """One committed bundle per on-disk format; every one keeps loading."""
+
+    @pytest.mark.parametrize(
+        "name, version, compress_type",
+        [
+            ("dataset_v1_compressed.npz", 1, zipfile.ZIP_DEFLATED),
+            ("dataset_v1_raw.npz", 1, zipfile.ZIP_STORED),
+            ("dataset_v2.npz", 2, zipfile.ZIP_DEFLATED),
+        ],
+    )
+    def test_fixture_loads_to_pinned_digest(self, name, version, compress_type):
+        path = FIXTURES / name
+        with zipfile.ZipFile(path) as bundle:
+            assert {info.compress_type for info in bundle.infolist()} == {compress_type}
+        with np.load(path) as bundle:
+            assert int(bundle["version"][0]) == version
+        loaded = load_dataset(path)
+        assert dataset_digest(loaded) == FIXTURE_SHA256
+        for snapshot in loaded:
+            assert snapshot.ips.dtype == np.uint32
+            assert snapshot.hits.dtype == np.uint64
+        assert_bit_identical(loaded, fixture_dataset())
+
+    @pytest.mark.parametrize(
+        "name, compress", [("dataset_v1_raw.npz", False), ("dataset_v2.npz", True)]
+    )
+    def test_writer_reproduces_fixture_members(self, tmp_path, name, compress):
+        """The writer's format does not drift: the members it writes today
+        equal the committed fixture's, dtype, shape and bytes."""
+        path = tmp_path / name
+        save_dataset(path, fixture_dataset(), compress=compress)
+        assert bundle_members(path) == bundle_members(FIXTURES / name)
+
+    def test_raw_bundle_is_byte_for_byte_np_savez(self, tmp_path, monkeypatch):
+        """compress=False writes exactly the bytes np.savez writes, so the
+        raw readers (zero-copy load, store shards, checkpoints) see no
+        change.  The clock is frozen: zip members carry an mtime."""
+        import time
+
+        monkeypatch.setattr(time, "time", lambda: 1_500_000_000.0)
+        arrays = {
+            "version": np.array([1]),
+            "ips_0": np.array([3, 9, 0xFFFFFFFF], dtype=np.uint32),
+            "hits_0": np.array([1, 2, 2**64 - 1], dtype=np.uint64),
+        }
+        atomic_write_npz(tmp_path / "ours.npz", arrays.items(), compress=False)
+        np.savez(tmp_path / "numpy.npz", **arrays)
+        assert (tmp_path / "ours.npz").read_bytes() == (
+            tmp_path / "numpy.npz"
+        ).read_bytes()
+
+    def test_v2_narrows_each_column(self):
+        with np.load(FIXTURES / "dataset_v2.npz") as bundle:
+            shapes = {
+                key: bundle[key].shape
+                for key in bundle.files
+                if key.startswith(("ips_", "hits_"))
+            }
+        assert shapes == {
+            "ips_0": (4, 7), "hits_0": (8, 7),
+            "ips_1": (1, 0), "hits_1": (1, 0),
+            "ips_2": (1, 3), "hits_2": (1, 3),
+        }
+
+
+#: Values at every narrowed dtype's boundary, 0 included.
+EDGE_HITS = [0, 255, 256, 2**16, 2**32, 2**64 - 1]
+EDGE_IPS = [0, 1, 255, 256, 2**16, 2**24, 0xFFFFFFFE, 0xFFFFFFFF]
+
+
+@st.composite
+def edge_datasets(draw):
+    snapshots = []
+    for day in range(draw(st.integers(min_value=1, max_value=4))):
+        ips = sorted(
+            draw(
+                st.sets(
+                    st.one_of(
+                        st.sampled_from(EDGE_IPS),
+                        st.integers(min_value=0, max_value=2**32 - 1),
+                    ),
+                    max_size=12,
+                )
+            )
+        )
+        hits = draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(EDGE_HITS[1:]),
+                    st.integers(min_value=1, max_value=2**64 - 1),
+                ),
+                min_size=len(ips),
+                max_size=len(ips),
+            )
+        )
+        snapshots.append(
+            Snapshot(
+                DAY0 + datetime.timedelta(days=day),
+                1,
+                np.array(ips, dtype=np.uint32),
+                np.array(hits, dtype=np.uint64),
+            )
+        )
+    return ActivityDataset(snapshots)
+
+
+class TestCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_HITS),
+                st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            max_size=16,
+        )
+    )
+    def test_column_codec_roundtrip(self, values):
+        column = np.array(values, dtype=np.uint64)
+        planes = _encode_column(column)
+        top = max(values, default=0)
+        width = next(w for w in (1, 2, 4, 8) if top < 2 ** (8 * w))
+        assert planes.dtype == np.uint8
+        assert planes.shape == (width, column.size)
+        decoded = _decode_column(planes, _WIDTHS, "hits_0")
+        assert decoded.astype(np.uint64).tobytes() == column.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_datasets(), st.booleans())
+    def test_dataset_roundtrip_bit_identical(self, dataset, compress):
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "edge.npz"
+            save_dataset(path, dataset, compress=compress)
+            loaded = load_dataset(path)
+            assert_bit_identical(loaded, dataset)
+            assert dataset_digest(loaded) == dataset_digest(dataset)
 
 
 class TestZeroCopyFastPath:

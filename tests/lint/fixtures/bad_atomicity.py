@@ -25,3 +25,15 @@ def direct_npz(arrays):
 def path_write(payload):
     Path("BENCH_collect.json").write_text(payload)  # line 26: A203
     Path("digest.bin").write_bytes(payload)  # line 27: A203
+
+
+def codec_writer_bypass(stream, column, mode):
+    import zipfile
+
+    np.lib.format.write_array(stream, column)  # line 33: A202
+    with zipfile.ZipFile("dataset.npz", "w") as bundle:  # line 34: A202
+        bundle.writestr("ips_0.npy", b"")
+    zipfile.ZipFile("dataset.npz", mode="a").close()  # line 36: A202
+    zipfile.ZipFile("dataset.npz", mode).close()  # line 37: A202 (non-literal)
+    zipfile.ZipFile("dataset.npz").close()  # reads are fine
+    zipfile.ZipFile("dataset.npz", "r").close()  # reads are fine

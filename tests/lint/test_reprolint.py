@@ -141,6 +141,10 @@ class TestAtomicityRules:
             ("A202", 22),
             ("A203", 26),
             ("A203", 27),
+            ("A202", 33),
+            ("A202", 34),
+            ("A202", 36),
+            ("A202", 37),
         ]
 
     def test_good_fixture_clean(self):

@@ -10,9 +10,10 @@ These rules forbid the bypasses:
   leave a truncated file behind a crash.  (The atomic helpers
   themselves write through ``os.fdopen`` on a ``mkstemp`` descriptor,
   which this rule deliberately does not match.)
-- A202 — ``np.save``/``np.savez``/``np.savez_compressed`` anywhere but
-  ``repro.core.io``: dataset bytes only leave the process through the
-  sanctioned wrapper.
+- A202 — ``np.save``/``np.savez``/``np.savez_compressed``,
+  ``np.lib.format.write_array``, or ``zipfile.ZipFile(..., "w"/"a"/"x")``
+  anywhere but ``repro.core.io``: dataset bytes only leave the process
+  through the sanctioned wrapper.
 - A203 — ``Path.write_text``/``write_bytes``: same truncation hazard
   as A201, harder to grep.
 """
@@ -60,10 +61,14 @@ class BareWriteOpen(Rule):
             )
 
 
+#: numpy's array writers, by final dotted component.
+_NUMPY_WRITERS = ("save", "savez", "savez_compressed", "write_array")
+
+
 @rule
 class DirectNumpySave(Rule):
     rule_id = "A202"
-    summary = "np.save*/np.savez* outside repro.core.io"
+    summary = "np.save*/np.savez*/write_array/ZipFile writes outside repro.core.io"
     scope = _ARTIFACT_SCOPE
 
     def check(self, module) -> Iterator[Finding]:
@@ -74,13 +79,25 @@ class DirectNumpySave(Rule):
             if name is None:
                 continue
             last = name.split(".")[-1]
-            if last in ("save", "savez", "savez_compressed") and (
+            if last in _NUMPY_WRITERS and (
                 name.startswith("np.") or name.startswith("numpy.")
             ):
                 yield self.finding(
                     module, node.lineno, node.col_offset,
                     f"{name}(): .npz artifacts must be written through "
                     "repro.core.io.atomic_write_npz (fsync + rename)",
+                )
+            elif name in ("zipfile.ZipFile", "ZipFile"):
+                mode_arg = call_arg(node, 1, "mode")
+                if mode_arg is None:
+                    continue  # default mode "r"
+                mode = string_constant(mode_arg)
+                if mode is not None and not any(c in mode for c in "wax"):
+                    continue
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    f"{name}(..., {mode!r}): zip artifacts must be written "
+                    "through repro.core.io.atomic_write_npz (fsync + rename)",
                 )
 
 
