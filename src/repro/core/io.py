@@ -87,6 +87,10 @@ _DEFLATE_LEVEL = 1
 _WIDTHS = (1, 2, 4, 8)
 _IPS_WIDTHS = (1, 2, 4)
 
+#: The only dtypes a v1 bundle's ``ips_k``/``hits_k`` members may have.
+_IPS_DTYPE = np.dtype("<u4")
+_HITS_DTYPE = np.dtype("<u8")
+
 
 def _dataset_path(path: str | os.PathLike[str]) -> str:
     """Canonical on-disk path: append ``.npz`` when missing.
@@ -228,6 +232,18 @@ def _decode_column(
     return np.ascontiguousarray(planes.T).view(f"<u{width}").reshape(-1)
 
 
+def _check_raw_member(column: NDArray[Any], dtype: np.dtype[Any], member: str) -> None:
+    """Reject a v1 column :func:`save_dataset` could not have written.
+
+    ``Snapshot`` would cast it silently: ``uint64`` ips past 2**32 wrap,
+    negative ``int64`` hits turn huge.
+    """
+    if column.dtype != dtype:
+        raise DatasetError(
+            f"{member} is not a {dtype.str} column (dtype {column.dtype})"
+        )
+
+
 def _dataset_members(
     dataset: ActivityDataset, compress: bool
 ) -> Iterator[tuple[str, NDArray[Any]]]:
@@ -344,6 +360,8 @@ def _load_dataset_raw(target: str) -> ActivityDataset | None:
                     return None  # compressed member: not zero-copy eligible
             ips = reader.array(f"ips_{index}", mmap=True)
             hits = reader.array(f"hits_{index}", mmap=True)
+            if ips.dtype != _IPS_DTYPE or hits.dtype != _HITS_DTYPE:
+                return None  # the legacy loader names the bad member
             mapped_bytes += ips.nbytes + hits.nbytes
             window_start = start + datetime.timedelta(days=index * window_days)
             snapshots.append(Snapshot(window_start, window_days, ips, hits))
@@ -385,6 +403,9 @@ def _load_dataset(target: str) -> ActivityDataset:
                     ips = np.cumsum(gaps, dtype=np.uint32)
                     hits = _decode_column(hits, _WIDTHS, f"hits_{index}")
                     hits = hits.astype(np.uint64)
+                else:
+                    _check_raw_member(ips, _IPS_DTYPE, f"ips_{index}")
+                    _check_raw_member(hits, _HITS_DTYPE, f"hits_{index}")
                 window_start = start + datetime.timedelta(days=index * window_days)
                 snapshots.append(Snapshot(window_start, window_days, ips, hits))
         except KeyError as exc:

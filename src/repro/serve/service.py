@@ -19,10 +19,11 @@ serve``.  Each tick it:
    the HTTP thread only ever sees finished strings).
 
 **Catch-up**: on start the service replays the already-committed
-intervals through the same kernel, one window per step — every stream
-is keyed per block, so replay reproduces the committed columns bit for
-bit (and verifies that, by default) — then resumes collecting where
-the store left off.
+intervals through the same kernel — every stream is keyed per block, so
+replay reproduces the committed columns bit for bit (and verifies each
+one, by default) — then resumes collecting where the store left off.
+Replay steps the kernel up to a week of committed windows per call
+(:data:`~repro.sim.engine.REPLAY_STEP_DAYS`); a tick steps one window.
 A run killed at any instant therefore converges to the identical
 dataset SHA-256 an uninterrupted run produces.
 """
@@ -258,12 +259,17 @@ class ObservatoryService:
         horizon — bit-identical by the per-block stream keying — and,
         with ``verify_replay`` (the default), checks each replayed
         column against the stored one, so a store collected under a
-        different configuration fails loudly instead of silently
-        forking the dataset.
+        different configuration fails loudly, naming the first interval
+        that differs, instead of silently forking the dataset.
+
+        The simulator is told how many windows are committed, so it may
+        simulate up to a week of them per kernel call; columns still
+        come back, and are verified and folded, one interval at a time.
         """
         already = self._replayed
         committed = self._appender.committed
         store = self._appender.store
+        self._simulator.replay_through(committed)
         for interval in range(self._replayed + 1, committed + 1):
             ips, hits = self._next_column()
             if self._verify_replay:

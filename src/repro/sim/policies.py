@@ -149,6 +149,11 @@ class DaysActivity:
     downstream per-day consumers (User-Agent sampling) draw identical
     streams from either path.
 
+    ``sub_ids`` is ``None`` when the caller passed ``with_ids=False``:
+    the day starts, hits, offsets and snapshots are the same either way,
+    and so is the policy's RNG end state — ids are bookkeeping, never a
+    draw.
+
     ``snapshots`` maps a relative day index to a private copy of
     :meth:`AddressPolicy.assigned_offsets` as of the *end* of that day
     (after any lease churn), matching a scalar caller that snapshots
@@ -156,7 +161,7 @@ class DaysActivity:
     """
 
     day_starts: np.ndarray
-    sub_ids: np.ndarray
+    sub_ids: np.ndarray | None
     sub_hits: np.ndarray
     sub_offsets: np.ndarray
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
@@ -182,11 +187,13 @@ def _concat_rows(parts: Sequence[np.ndarray], dtype: type = np.int64) -> np.ndar
     return np.concatenate(parts)
 
 
-def _silent_days(num_days: int, snapshots: dict[int, np.ndarray]) -> DaysActivity:
+def _silent_days(
+    num_days: int, snapshots: dict[int, np.ndarray], with_ids: bool
+) -> DaysActivity:
     """A horizon with no CDN-visible activity (infrastructure blocks)."""
     return DaysActivity(
         day_starts=np.zeros(num_days + 1, dtype=np.int64),
-        sub_ids=np.empty(0, dtype=np.int64),
+        sub_ids=np.empty(0, dtype=np.int64) if with_ids else None,
         sub_hits=np.empty(0, dtype=np.int64),
         sub_offsets=np.empty(0, dtype=np.int64),
         snapshots=snapshots,
@@ -217,6 +224,7 @@ class AddressPolicy(abc.ABC):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         """Advance ``len(day_of_weeks)`` days in one batched call.
 
@@ -227,10 +235,17 @@ class AddressPolicy(abc.ABC):
         state, and ``snapshots[d]`` equals an
         :meth:`assigned_offsets` call made right after day ``d``.
 
+        ``with_ids=False`` leaves ``sub_ids`` out (``None``) and changes
+        nothing else: the same draws in the same order, the same day
+        starts, hits, offsets and snapshots.  Callers that neither
+        sample User-Agents nor trace logins on these days pass it, and
+        every policy honours it.
+
         Implementations make bit-identical RNG calls day by day but
-        defer every deterministic computation (hit medians, log-normal
-        ``exp``, traffic scaling, aggregation) to single array ops
-        over the whole horizon.
+        defer deterministic computation (hit medians, log-normal
+        ``exp``, traffic scaling, aggregation) to array ops over many
+        rows: over the whole horizon, or, for gateways, over each day's
+        rows as they are drawn.
         """
 
     def _prepare_days(
@@ -411,6 +426,7 @@ class StaticPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         pool = self._pool
@@ -427,7 +443,8 @@ class StaticPolicy(AddressPolicy):
             active = pool.active_for(factor)
             normals.append(self._rng.standard_normal(active.size))
             counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
+            if with_ids:
+                ids.append(pool.sub_ids[active])
             med.append(pool.median_hits[active])
             offs.append(self._offsets[active])
             if day in wanted:
@@ -437,7 +454,7 @@ class StaticPolicy(AddressPolicy):
         )
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=sub_hits,
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -483,6 +500,7 @@ class DynamicShortLeasePolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         pool = self._pool
@@ -501,7 +519,8 @@ class DynamicShortLeasePolicy(AddressPolicy):
             offsets = self._rng.permutation(BLOCK_SIZE)[: active.size]
             normals.append(self._rng.standard_normal(active.size))
             counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
+            if with_ids:
+                ids.append(pool.sub_ids[active])
             med.append(pool.median_hits[active])
             offs.append(offsets)
             last_offsets = offsets  # sorting deferred to snapshot/exit
@@ -515,7 +534,7 @@ class DynamicShortLeasePolicy(AddressPolicy):
         )
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=sub_hits,
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -593,6 +612,7 @@ class DynamicLongLeasePolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         pool = self._pool
@@ -610,7 +630,8 @@ class DynamicLongLeasePolicy(AddressPolicy):
             active = pool.active_for(factor)
             normals.append(self._rng.standard_normal(active.size))
             counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
+            if with_ids:
+                ids.append(pool.sub_ids[active])
             med.append(pool.median_hits[active])
             offs.append(self._sub_offsets[active])
             if day in wanted:
@@ -620,7 +641,7 @@ class DynamicLongLeasePolicy(AddressPolicy):
         )
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=sub_hits,
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -668,6 +689,7 @@ class RoundRobinPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         pool = self._pool
@@ -685,7 +707,8 @@ class RoundRobinPolicy(AddressPolicy):
             self._pointer = (self._pointer + self._advance) % BLOCK_SIZE
             normals.append(self._rng.standard_normal(active.size))
             counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
+            if with_ids:
+                ids.append(pool.sub_ids[active])
             med.append(pool.median_hits[active])
             offs.append(offsets)
             last_offsets = offsets  # dedup/sort deferred to snapshot/exit
@@ -697,7 +720,7 @@ class RoundRobinPolicy(AddressPolicy):
         )
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=sub_hits,
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -759,38 +782,39 @@ class GatewayPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         pool = self._pool
         counts: list[int] = []
         ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
+        hits: list[np.ndarray] = []
         offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
         snapshots: dict[int, np.ndarray] = {}
         for day, factor in enumerate(factors):
             churned = pool.turn_over()
             if churned.size:
                 self._rehash(churned)
             active = pool.active_for(factor)
-            normals.append(self._rng.standard_normal(active.size))
+            # Thousands of rows a day: each day's integer hits are made
+            # as its normals are drawn, so the horizon holds only hits
+            # and offsets.  Element-wise math, the same values as one
+            # pass over the concatenated rows; int64 * python float is
+            # the scalar path's multiply.
+            day_hits = hits_from_medians(
+                pool.median_hits[active], self._rng.standard_normal(active.size)
+            )
+            hits.append(np.maximum(1, (day_hits * traffic_scales[day]).astype(np.int64)))
             counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
+            if with_ids:
+                ids.append(pool.sub_ids[active])
             offs.append(self._sub_gw_offsets[active])
             if day in wanted:
                 snapshots[day] = self._gw_offsets.copy()
-        hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        # Per-row traffic scale: int64 * float64 is the same element-wise
-        # multiply the scalar path performs with a python-float scale.
-        scale_rows = np.repeat(np.asarray(traffic_scales, dtype=np.float64), counts)
-        sub_hits = np.maximum(1, (hits * scale_rows).astype(np.int64))
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
+            sub_ids=_concat_rows(ids) if with_ids else None,
+            sub_hits=_concat_rows(hits),
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
         )
@@ -835,6 +859,7 @@ class CrawlerPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         counts: list[int] = []
@@ -847,7 +872,8 @@ class CrawlerPolicy(AddressPolicy):
             active = (self._rng.random(self._bot_ids.size) < 0.985).nonzero()[0]
             normals.append(self._rng.standard_normal(active.size))
             counts.append(int(active.size))
-            ids.append(self._bot_ids[active])
+            if with_ids:
+                ids.append(self._bot_ids[active])
             medians.append(self._median_hits[active])
             offs.append(self._offsets[active])
             if day in wanted:
@@ -859,7 +885,7 @@ class CrawlerPolicy(AddressPolicy):
         sub_hits = np.maximum(1, (hits * scale_rows).astype(np.int64))
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=sub_hits,
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -905,13 +931,14 @@ class ServerPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         num_days = len(factors)
         snapshots = {day: self._offsets.copy() for day in wanted}
         if not self._fetches_updates:
             # The scalar path consumes no RNG for these blocks either.
-            return _silent_days(num_days, snapshots)
+            return _silent_days(num_days, snapshots, with_ids)
         counts: list[int] = []
         ids: list[np.ndarray] = []
         hits: list[np.ndarray] = []
@@ -923,11 +950,12 @@ class ServerPolicy(AddressPolicy):
                 # Scalar path returns empty *before* drawing hit counts.
                 continue
             hits.append(self._rng.integers(1, 20, size=active.size).astype(np.int64))
-            ids.append(self._ids[active])
+            if with_ids:
+                ids.append(self._ids[active])
             offs.append(self._offsets[active])
         return DaysActivity(
             day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
+            sub_ids=_concat_rows(ids) if with_ids else None,
             sub_hits=_concat_rows(hits),
             sub_offsets=_concat_rows(offs),
             snapshots=snapshots,
@@ -959,10 +987,11 @@ class RouterPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         return _silent_days(
-            len(day_of_weeks), {day: self._offsets.copy() for day in wanted}
+            len(day_of_weeks), {day: self._offsets.copy() for day in wanted}, with_ids
         )
 
 
@@ -985,11 +1014,13 @@ class UnusedPolicy(AddressPolicy):
         day_of_weeks: Sequence[int],
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
+        with_ids: bool = True,
     ) -> DaysActivity:
         _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
         return _silent_days(
             len(day_of_weeks),
             {day: np.empty(0, dtype=np.int64) for day in wanted},
+            with_ids,
         )
 
 

@@ -246,6 +246,36 @@ class TestColumnValidation:
         with pytest.raises(DatasetError, match=r"unsorted\.npz.*sorted"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("writer", [np.savez, np.savez_compressed])
+    @pytest.mark.parametrize(
+        "ips, hits, reason",
+        [
+            pytest.param(
+                np.array([1, 2**32 + 5], dtype=np.uint64),
+                np.array([1, 1], dtype=np.uint64),
+                "ips_0 .*uint64",
+                id="uint64-ips",
+            ),
+            pytest.param(
+                np.array([1, 2], dtype=np.uint32),
+                np.array([-1, 3], dtype=np.int64),
+                "hits_0 .*int64",
+                id="int64-hits",
+            ),
+        ],
+    )
+    def test_v1_member_of_wrong_dtype_error_names_file(
+        self, tmp_path, writer, ips, hits, reason
+    ):
+        """Regression: a v1 member of the wrong dtype was cast silently —
+        ips ``[1, 2**32+5]`` loaded as ``[1, 5]`` and hits ``[-1, 3]`` as
+        ``[2**64-1, 3]``.  Raw bundles take the mapped fast path,
+        deflated ones the decoding path; both must refuse the member."""
+        path = tmp_path / "wrongtype.npz"
+        write_bundle(path, 1, ips, hits, writer)
+        with pytest.raises(DatasetError, match=rf"wrongtype\.npz.*{reason}"):
+            load_dataset(path)
+
     @pytest.mark.parametrize(
         "ips, hits, reason",
         [

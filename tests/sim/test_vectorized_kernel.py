@@ -9,13 +9,16 @@ kernel calls.  Hypothesis drives the state space; the reference kernel
 (kept as the test oracle) provides the expected results.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.sim import InternetPopulation, SimulationConfig
+from repro.obs.manifest import dataset_digest
+from repro.sim import CDNObservatory, InternetPopulation, SimulationConfig
 from repro.sim.engine import (
     ShardTask,
     _ShardKernel,
@@ -228,6 +231,87 @@ class TestKernelMatchesReference:
         assert_shard_results_equal(whole, kernel.result())
 
 
+class TestWithoutIds:
+    """``with_ids=False`` drops the id rows and nothing else."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    @settings(max_examples=4, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        num_days=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_same_rows_snapshots_and_rng_state(self, kind, seed, num_days, data):
+        snapshot_days = data.draw(
+            st.sets(st.integers(min_value=0, max_value=num_days - 1), max_size=3)
+        )
+        day_of_weeks = [(day + 3) % 7 for day in range(num_days)]
+        traffic_scales = [
+            CONFIG.traffic_weekly_growth ** (day / 7.0) for day in range(num_days)
+        ]
+        with_ids = make_policy(kind, seed, "residential", CONFIG, sub_base=3_000_000)
+        without = make_policy(kind, seed, "residential", CONFIG, sub_base=3_000_000)
+        full = with_ids.days_activity(day_of_weeks, traffic_scales, snapshot_days)
+        lean = without.days_activity(
+            day_of_weeks, traffic_scales, snapshot_days, with_ids=False
+        )
+        assert full.sub_ids is not None and lean.sub_ids is None
+        assert full.sub_ids.size == full.day_starts[-1]
+        for name in ("day_starts", "sub_hits", "sub_offsets"):
+            expected, got = getattr(full, name), getattr(lean, name)
+            assert np.array_equal(expected, got), name
+            assert expected.dtype == got.dtype, name
+        assert set(full.snapshots) == set(lean.snapshots)
+        for day, expected in full.snapshots.items():
+            assert np.array_equal(lean.snapshots[day], expected), day
+        assert (
+            with_ids._rng.bit_generator.state == without._rng.bit_generator.state
+        )
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_kernel_with_ua_windows_and_directives(self, world, data):
+        # Gateways plus a few other blocks: the kernel asks for ids only
+        # on segments that overlap the UA window, so draw that window,
+        # directive days (segment cuts) and call splits around it.
+        gateways = [b for b in world.blocks if b.kind is PolicyKind.GATEWAY]
+        others = [b for b in world.blocks if b.kind is not PolicyKind.GATEWAY]
+        blocks = tuple(gateways + others[:6])
+        num_days = data.draw(st.sampled_from([4, 6, 8]))
+        lo = data.draw(st.integers(min_value=0, max_value=num_days - 1))
+        hi = data.draw(st.integers(min_value=lo, max_value=min(lo + 1, num_days - 1)))
+        directives = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=num_days - 1),
+                    st.sampled_from([b.index for b in blocks]),
+                    st.sampled_from([kind.value for kind in ALL_KINDS]),
+                    st.integers(min_value=0, max_value=50),
+                ),
+                max_size=4,
+            )
+        )
+        splits = data.draw(
+            st.sets(st.integers(min_value=1, max_value=num_days - 1), max_size=3)
+        )
+        task = ShardTask(
+            shard_index=0,
+            config=world.config,
+            blocks=blocks,
+            num_days=num_days,
+            window_days=num_days // 2,
+            ua_window=(lo, hi),
+            scan_days=(),
+            login_panel_rate=0.0,
+            directives=tuple(directives),
+        )
+        reference = _simulate_shard_blocks_reference(task)
+        kernel = _ShardKernel(task)
+        for stop in [*sorted(splits), num_days]:
+            kernel.advance(stop)
+        assert_shard_results_equal(reference, kernel.result())
+
+
 class TestScanSnapshotIsolation:
     """Scan states are private copies, not views of live policy state."""
 
@@ -333,3 +417,52 @@ class TestPartialWindowRejected:
             _simulate_shard_blocks(task)
         with pytest.raises(ConfigError, match="not a multiple"):
             _simulate_shard_blocks_reference(task)
+
+
+def ua_store_digest(store):
+    """SHA-256 over every block's sorted ``(ua_id, count)`` samples."""
+    digest = hashlib.sha256()
+    for base in store.blocks():
+        digest.update(int(base).to_bytes(4, "little"))
+        for ua_id, count in sorted(store.samples[base].items()):
+            digest.update(int(ua_id).to_bytes(8, "little", signed=True))
+            digest.update(int(count).to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+def login_trace_digest(trace):
+    """SHA-256 over every day's login-panel ``(ip, user)`` columns."""
+    digest = hashlib.sha256()
+    for ips, users in trace:
+        digest.update(np.ascontiguousarray(ips, dtype="<u4").tobytes())
+        digest.update(np.ascontiguousarray(users, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestSubscriberRowPins:
+    """Frozen digests of the artifacts that read subscriber-id rows.
+
+    UA sampling and the login panel are the only consumers of
+    ``DaysActivity.sub_ids``; the world holds five gateway /24s, whose
+    ids the kernel asks for only on UA-window days and with the panel
+    on.  The digests were recorded before the kernel learned to skip
+    id rows and must never move.
+    """
+
+    UA_SHA256 = "ee589d9aeab42e817bafcc6a062a8ee0ba843a10d66f0af4eb689d9579269a6a"
+    LOGIN_SHA256 = "865e517c5d303b72a0830fb5f4e3929cc5f9c14223e46820b96a5fe173a11f41"
+    DATASET_SHA256 = "1a7e5f83638baf3ea1b2d14bc35c7289020b74ce2d894679f0fb326ba96d8d7e"
+
+    def test_ua_window_collection_digests(self):
+        config = SimulationConfig(
+            seed=5, num_slash8=5, num_ases=12, mean_blocks_per_as=3.0
+        )
+        world = InternetPopulation.build(config)
+        assert sum(b.kind is PolicyKind.GATEWAY for b in world.blocks) == 5
+        result = CDNObservatory(world).collect_daily(
+            6, ua_window=(3, 4), login_panel_rate=0.2
+        )
+        assert len(result.ua_store.blocks()) == 24
+        assert ua_store_digest(result.ua_store) == self.UA_SHA256
+        assert login_trace_digest(result.login_trace) == self.LOGIN_SHA256
+        assert dataset_digest(result.dataset) == self.DATASET_SHA256

@@ -395,3 +395,32 @@ class TestBenchStoreStream:
         ]}
         passed, message = bench.gate_against(baseline, record, 0.5)
         assert passed and "gate skipped" in message
+
+
+class TestKernelSplit:
+    """The kernel draw/rest splitter (tools/kernel_split.py)."""
+
+    @pytest.fixture(scope="class")
+    def kernel_split(self):
+        return _load_tool("kernel_split")
+
+    def test_proxy_draws_the_same_stream(self, kernel_split):
+        import numpy as np
+
+        clock = kernel_split.DrawClock()
+        proxied = kernel_split.TimedGenerator(np.random.default_rng(7), clock)
+        plain = np.random.default_rng(7)
+        assert np.array_equal(proxied.standard_normal(5), plain.standard_normal(5))
+        assert proxied.integers(0, 9) == plain.integers(0, 9)
+        assert proxied.bit_generator.state == plain.bit_generator.state
+        assert clock.calls == 2
+
+    def test_small_world_split_matches_unproxied_run(self, kernel_split, capsys):
+        code = kernel_split.main(
+            ["--seed", "5", "--ases", "12", "--blocks-per-as", "3",
+             "--days", "6", "--call-days", "2", "--repeats", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "gateway" in out and "total" in out
+        assert "matches the unproxied run" in out
