@@ -51,7 +51,7 @@ from repro.core.io import (
     save_dataset,
     save_routing_series,
 )
-from repro.core.store import COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED
+from repro.core.store import COMMIT_PHASE_COMMITTED, COMMIT_PHASE_WRITTEN
 from repro.obs import (
     ObsContext,
     build_manifest,
@@ -60,7 +60,7 @@ from repro.obs import (
     write_prometheus,
     write_trace_json,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DatasetError
 from repro.net.ipv4 import format_ip
 from repro.obs import context as obs_api
 from repro.report import format_count, format_percent, render_table
@@ -238,12 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "while collecting (0 picks an ephemeral port, printed to stderr)",
     )
     serve.add_argument(
-        "--no-verify-replay",
-        action="store_true",
-        help="skip the catch-up check that replayed columns match the "
-        "committed store bit for bit",
-    )
-    serve.add_argument(
         "--scenario",
         default=None,
         metavar="FILE",
@@ -262,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--inject-kill-phase",
-        choices=[COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED],
-        default=COMMIT_PHASE_FINALIZED,
+        choices=[COMMIT_PHASE_WRITTEN, COMMIT_PHASE_COMMITTED],
+        default=COMMIT_PHASE_WRITTEN,
         help="commit phase at which --inject-kill-interval fires",
     )
     _add_obs_flags(serve)
@@ -704,14 +698,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 commit_hook=commit_hook,
                 publish=publish,
                 pace_seconds=args.interval_seconds,
-                verify_replay=not args.no_verify_replay,
                 scenario=scenario,
             )
+            with service:
+                report = service.run(max_intervals=args.max_intervals)
         except ConfigError as error:
             print(str(error), file=sys.stderr)
             return 2
-        with service:
-            report = service.run(max_intervals=args.max_intervals)
+        except DatasetError as error:
+            # A store this run must not extend: replay mismatch, horizon,
+            # plain or legacy root.  The message says which.
+            print(f"repro serve: {error}", file=sys.stderr)
+            return 1
     finally:
         if endpoint is not None:
             endpoint.stop()

@@ -513,9 +513,11 @@ def open_store(path: str | os.PathLike[str]) -> "DatasetStore":
 
     Eagerly checks the manifest and every shard's header (day range,
     block tiling, address ranges) but reads shard data lazily — see
-    :class:`repro.core.store.DatasetStore`.  Live-store roots (appended
-    interval by interval through ``StoreAppender``) resolve to their
-    committed generation transparently.  Raises
+    :class:`repro.core.store.DatasetStore`.  A live-store root
+    (appended interval by interval through ``StoreAppender``) opens
+    through its own manifest, like a batch store; a root in the legacy
+    ``live.json`` + ``gen_<k>/`` layout resolves to its committed
+    generation (``resolve_store_root``).  Raises
     :class:`~repro.errors.DatasetError` on any structural defect.
     """
     from repro.core.store import DatasetStore, resolve_store_root

@@ -20,13 +20,14 @@ holds every snapshot of it::
         shard_000256_000512.npz      # active-/24 table, all snapshots
 
 A live store (:class:`StoreAppender`) tiles time instead: each committed
-interval is one immutable one-snapshot store, and a generation manifest
-lists them (see :class:`StoreAppender` for the layout).  Both are read
-through one lookup — snapshot → the shard files holding it, in address
-order — so :meth:`DatasetStore.column_slice`, :meth:`~DatasetStore.to_dataset`,
-:meth:`~DatasetStore.digest` and the streamed passes of
-:meth:`~DatasetStore.iter_shards` have a single read path; a batch store
-is the case where one file holds every snapshot of its range.
+interval is one immutable one-snapshot store, and the root's own
+manifest lists them (see :class:`StoreAppender` for the layout).  Both
+are read through one lookup — snapshot → the shard files holding it, in
+address order — so :meth:`DatasetStore.column_slice`,
+:meth:`~DatasetStore.to_dataset`, :meth:`~DatasetStore.digest` and the
+streamed passes of :meth:`~DatasetStore.iter_shards` have a single read
+path; a batch store is the case where one file holds every snapshot of
+its range.
 
 Shard files reuse the checkpoint naming convention from
 :mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz`` keyed by
@@ -61,7 +62,6 @@ import json
 import math
 import os
 import re
-import shutil
 import zipfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -83,21 +83,19 @@ from repro.obs import context as obs
 #: Bump when the shard payload or manifest schema changes.
 STORE_FORMAT_VERSION = 1
 
-#: Manifest schema of a live generation: one interval store per snapshot
+#: Manifest schema of a live store: one interval store per snapshot
 #: plus the /24 union, instead of address-tiled whole-history shards.
 INTERVAL_FORMAT_VERSION = 2
 
 #: Manifest file name inside a store directory.
 STORE_MANIFEST_NAME = "store.manifest.json"
 
-#: Pointer file name inside a *live* store directory (appendable store).
+#: Pointer file name of the legacy live layout, which named its
+#: committed ``gen_<k>/`` manifest; read, never written.
 LIVE_POINTER_NAME = "live.json"
 
-#: Bump when the live-pointer schema changes.
+#: The only legacy live-pointer schema.
 LIVE_POINTER_VERSION = 1
-
-#: Generation directory names inside a live store root.
-_GENERATION_PATTERN = re.compile(r"^gen_(\d{6})$")
 
 #: Directory inside a live store root holding one store per interval.
 INTERVALS_DIR_NAME = "intervals"
@@ -129,7 +127,7 @@ def store_manifest_path(root: str | os.PathLike[str]) -> str:
 
 
 def generation_dir_name(generation: int) -> str:
-    """Directory name of one live-store generation (1-based)."""
+    """Directory name of one legacy live-store generation (1-based)."""
     return f"gen_{generation:06d}"
 
 
@@ -139,31 +137,26 @@ def interval_dir_name(interval: int) -> str:
 
 
 def interval_shard_name(interval: int, num_blocks: int) -> str:
-    """A generation manifest's name for interval *interval*'s shard file.
+    """A live manifest's name for interval *interval*'s shard file.
 
-    Relative to the generation directory: interval stores live beside
-    the generations, under ``<root>/intervals/``, and outlive them.
+    Relative to the live store root, whose manifest sits beside
+    ``intervals/``.
     """
     return "/".join(
-        (
-            os.pardir,
-            INTERVALS_DIR_NAME,
-            interval_dir_name(interval),
-            shard_file_name(0, num_blocks),
-        )
+        (INTERVALS_DIR_NAME, interval_dir_name(interval), shard_file_name(0, num_blocks))
     )
 
 
 def live_pointer_path(root: str | os.PathLike[str]) -> str:
-    """Path of the generation pointer inside live store *root*."""
+    """Path of the legacy generation pointer inside live store *root*."""
     return os.path.join(os.fspath(root), LIVE_POINTER_NAME)
 
 
 def read_live_pointer(root: str | os.PathLike[str]) -> int | None:
-    """The committed generation number of live store *root*.
+    """The committed generation number of legacy live store *root*.
 
     Returns ``None`` when no pointer file exists (the directory is not
-    a live store, or no generation has ever been committed); raises
+    a legacy live store); raises
     :class:`~repro.errors.DatasetError` on a malformed pointer.
     """
     target = live_pointer_path(root)
@@ -199,13 +192,14 @@ def read_live_pointer(root: str | os.PathLike[str]) -> int | None:
 def resolve_store_root(path: str | os.PathLike[str]) -> str:
     """The directory whose manifest describes *path*'s dataset.
 
-    A plain store directory resolves to itself.  A **live** store —
-    one whose snapshots are appended interval by interval through
-    :class:`StoreAppender` — describes each committed state with a
-    generation manifest under ``gen_<k>/`` and points at the current
-    one with ``live.json``; such a root resolves to its committed
-    generation directory, so every store consumer (``open_store``,
-    ``repro analyze``) reads a live store transparently.
+    A store directory holding its own manifest resolves to itself: a
+    batch store, and a **live** store, whose snapshots
+    :class:`StoreAppender` commits interval by interval to the root
+    manifest.  Live roots written before that layout described each
+    committed state with a manifest under ``gen_<k>/`` and named the
+    current one in ``live.json``; such a legacy root resolves to its
+    committed generation directory, so ``open_store`` and ``repro
+    analyze`` keep reading it.  This is the only reader of the pointer.
     """
     root = os.fspath(path)
     if os.path.isfile(store_manifest_path(root)):
@@ -740,7 +734,7 @@ class DatasetStore:
 
     Every read goes through one lookup, from a snapshot to the shard
     files holding it in address order (:meth:`read`): all of a batch
-    store's shards, or the one interval file of a live generation.
+    store's shards, or the one interval file of a live store.
     """
 
     def __init__(
@@ -764,7 +758,7 @@ class DatasetStore:
         self.num_blocks = num_blocks
         self.dataset_sha256 = dataset_sha256
         self.shards = shards
-        #: The sorted /24 union a live generation records; ``None`` for
+        #: The sorted /24 union a live manifest records; ``None`` for
         #: a batch store, whose shards carry the block table.
         self.block_bases = block_bases
         self._holders: list[list[StoreShard]] = [[] for _ in range(num_snapshots)]
@@ -1086,7 +1080,7 @@ def _check_base_range(info: ShardInfo, floor: int) -> None:
 def _manifest_bases(
     payload: dict[str, Any], num_blocks: int, manifest_file: str
 ) -> NDArray[np.int64]:
-    """A live generation's recorded /24 union, validated."""
+    """A live manifest's recorded /24 union, validated."""
     try:
         bases = np.array([int(base) for base in payload["block_bases"]], dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -1114,7 +1108,7 @@ def _interval_shards(
     num_blocks: int,
     manifest_file: str,
 ) -> list[StoreShard]:
-    """A live generation's interval files, one per non-empty snapshot."""
+    """A live manifest's interval files, one per non-empty snapshot."""
     shards: list[StoreShard] = []
     previous = -1
     for info, entry in zip(infos, entries):
@@ -1130,8 +1124,10 @@ def _interval_shards(
                 f"{info.name!r} at snapshot {index}, out of order or past "
                 f"its {num_snapshots} snapshots"
             )
+        name = interval_shard_name(index + 1, info.block_stop)
         if (
-            info.name != interval_shard_name(index + 1, info.block_stop)
+            # A legacy manifest in gen_<k>/ names the file from one level down.
+            info.name not in (name, f"{os.pardir}/{name}")
             or info.block_start != 0
             or not 0 < info.block_stop <= num_blocks
         ):
@@ -1377,22 +1373,18 @@ class StoreWriter:
 
 
 #: Commit-protocol phase names passed to a :class:`StoreAppender` hook.
-COMMIT_PHASE_FINALIZED = "generation-finalized"
-COMMIT_PHASE_FLIPPED = "pointer-flipped"
+COMMIT_PHASE_WRITTEN = "interval-written"
+COMMIT_PHASE_COMMITTED = "manifest-committed"
 
 
 class StoreAppender:
     """Append one snapshot interval at a time to a **live** store.
 
-    A live store root holds one immutable store per committed interval,
-    generation directories that each hold only a manifest listing the
-    intervals committed so far, and a ``live.json`` pointer naming the
-    committed generation::
+    A live store root holds one immutable store per committed interval
+    and one manifest listing the intervals committed so far::
 
         <root>/
-            live.json                    # {"schema": 1, "generation": 2}
-            gen_000002/
-                store.manifest.json      # intervals 1-2 + the /24 union
+            store.manifest.json          # intervals 1-2 + the /24 union
             intervals/
                 000001/                  # a one-snapshot store
                     store.manifest.json
@@ -1403,22 +1395,28 @@ class StoreAppender:
 
     :meth:`append` writes interval ``k+1`` once, as a one-snapshot store
     through :class:`StoreWriter` (the interval's own /24s in one shard
-    file), then writes the ``gen_<k+1>/`` manifest — the committed
-    interval files, the /24 union, and the dataset SHA-256 — then
-    atomically flips the pointer and garbage-collects older generation
-    manifests.  Committed interval files are never rewritten or
-    deleted, so a tick writes O(interval) bytes; it still reads every
-    committed column once, for the dataset digest, whose header
-    carries the snapshot count.  The pointer flip is the *only* commit
-    point: a crash at any instant leaves generation ``k`` or ``k+1``
-    committed — never a torn store — and a restarted service replays
-    the missed interval, rewriting its uncommitted files by atomic
-    replace with the same (deterministic) bytes.
+    file), then atomically replaces the root manifest — the committed
+    interval files, named relative to the root, the /24 union, and the
+    dataset SHA-256.  Nothing under the root is ever deleted, and
+    committed interval files are never rewritten, so a tick writes
+    O(interval) bytes; it still reads every committed column once, for
+    the dataset digest, whose header carries the snapshot count.  The
+    manifest replace is the *only* commit point: a crash at any instant
+    leaves ``k`` or ``k+1`` intervals committed — never a torn store —
+    and a restarted service replays the missed interval, rewriting its
+    uncommitted files by atomic replace with the same (deterministic)
+    bytes.  A reader that opened the root before a commit keeps reading
+    the files its manifest named; one that opens it after reads the new
+    manifest.
+
+    Live roots in a legacy layout (a ``live.json`` pointer naming a
+    ``gen_<k>/`` manifest) stay readable through :func:`resolve_store_root`
+    but are refused here.
 
     The optional *commit_hook* is called with
-    :data:`COMMIT_PHASE_FINALIZED` after the new generation's manifest
-    lands and :data:`COMMIT_PHASE_FLIPPED` after the pointer flip;
-    fault-injection tests use it to kill the process at the
+    :data:`COMMIT_PHASE_WRITTEN` once the interval's files are durable,
+    before the manifest replace, and :data:`COMMIT_PHASE_COMMITTED`
+    after it; fault-injection tests use it to kill the process at the
     worst-possible instants.
     """
 
@@ -1436,9 +1434,13 @@ class StoreAppender:
         if shard_blocks < 1:
             raise DatasetError(f"bad shard size: {shard_blocks} blocks")
         self._root = os.fspath(root)
-        if os.path.isfile(store_manifest_path(self._root)):
+        if os.path.isfile(live_pointer_path(self._root)):
             raise DatasetError(
-                f"not a live store: {self._root} holds a plain store manifest"
+                f"live store at {self._root} uses a legacy layout (a "
+                f"{LIVE_POINTER_NAME} pointer to gen_<k>/ generations of "
+                "interval manifests or whole-history shards); it stays "
+                "readable, but appending commits to a root manifest — "
+                "collect into a new store directory"
             )
         os.makedirs(self._root, exist_ok=True)
         self._start = start
@@ -1447,16 +1449,11 @@ class StoreAppender:
         self._commit_hook = commit_hook
         self._store: DatasetStore | None = None
         self._bases: NDArray[np.int64] = np.empty(0, dtype=np.int64)
-        generation = read_live_pointer(self._root)
-        self._committed = 0 if generation is None else generation
-        if generation is not None:
-            store = DatasetStore.open(
-                os.path.join(self._root, generation_dir_name(generation))
-            )
-            if store.num_snapshots != generation:
+        if os.path.isfile(store_manifest_path(self._root)):
+            store = DatasetStore.open(self._root)
+            if store.block_bases is None:
                 raise DatasetError(
-                    f"live store at {self._root} points at generation "
-                    f"{generation} holding {store.num_snapshots} snapshots"
+                    f"not a live store: {self._root} holds a plain store manifest"
                 )
             if (
                 store.start != start
@@ -1471,14 +1468,6 @@ class StoreAppender:
                     f"with start={start.isoformat()} "
                     f"window_days={window_days} shard_blocks={shard_blocks}"
                 )
-            if store.block_bases is None:
-                raise DatasetError(
-                    f"live store at {self._root} uses the whole-history "
-                    f"generation layout ({generation_dir_name(generation)} "
-                    "holds full shards, not interval files); it stays "
-                    "readable, but appending to it would rewrite that "
-                    "history — collect into a new store directory"
-                )
             self._store = store
             self._bases = store.block_bases
 
@@ -1488,12 +1477,12 @@ class StoreAppender:
 
     @property
     def committed(self) -> int:
-        """Number of snapshots in the committed generation (0 = none)."""
-        return self._committed
+        """Number of snapshots the root manifest commits (0 = none)."""
+        return 0 if self._store is None else self._store.num_snapshots
 
     @property
     def store(self) -> DatasetStore | None:
-        """The committed generation's store, or ``None`` before any commit."""
+        """The committed store, or ``None`` before any commit."""
         return self._store
 
     def _signal(self, phase: str) -> None:
@@ -1523,8 +1512,8 @@ class StoreAppender:
     ) -> list[StoreShard]:
         """Write interval *interval* as a one-snapshot store; its shard(s).
 
-        The interval's shard row is renamed relative to the generation
-        directories, which sit beside ``intervals/`` in the root.
+        The interval's shard row is renamed relative to the root, whose
+        manifest lists it.
         """
         intervals = os.path.join(self._root, INTERVALS_DIR_NAME)
         interval_root = os.path.join(intervals, interval_dir_name(interval))
@@ -1542,10 +1531,9 @@ class StoreAppender:
         if bases.size:
             writer.add_shard(bases, [(ips, hits)])
         written = writer.finalize()
-        gen_dir = os.path.join(self._root, generation_dir_name(interval))
         return [
             StoreShard(
-                gen_dir,
+                self._root,
                 replace(
                     shard.info,
                     name=interval_shard_name(interval, shard.info.block_stop),
@@ -1560,23 +1548,21 @@ class StoreAppender:
 
         *ips*/*hits* are one interval's sorted sparse columns (the
         shapes every snapshot carries).  The commit is crash-safe: the
-        interval's files and then the new generation's manifest are
-        durable before the pointer flips, committed intervals are never
-        touched, and older generation manifests are removed only after
-        the flip.
+        interval's files are durable before the root manifest is
+        replaced to name them, and committed intervals are never
+        touched.
         """
         ips_col, hits_col = self._validated_column(ips, hits)
-        generation = self._committed + 1
-        gen_dir = os.path.join(self._root, generation_dir_name(generation))
+        interval = self.committed + 1
         new_bases = np.unique((ips_col & np.uint32(0xFFFFFF00)).astype(np.int64))
-        added = self._write_interval(generation, ips_col, hits_col, new_bases)
+        added = self._write_interval(interval, ips_col, hits_col, new_bases)
         prev = self._store
         bases = np.union1d(self._bases, new_bases)  # O(active /24s)
         store = DatasetStore(
-            gen_dir,
+            self._root,
             start=self._start,
             window_days=self._window_days,
-            num_snapshots=generation,
+            num_snapshots=interval,
             shard_blocks=self._shard_blocks,
             num_blocks=int(bases.size),
             dataset_sha256="",
@@ -1588,7 +1574,7 @@ class StoreAppender:
             "schema": INTERVAL_FORMAT_VERSION,
             "start_ordinal": self._start.toordinal(),
             "window_days": self._window_days,
-            "num_snapshots": generation,
+            "num_snapshots": interval,
             "shard_blocks": self._shard_blocks,
             "num_blocks": int(bases.size),
             "dataset_sha256": store.dataset_sha256,
@@ -1598,25 +1584,11 @@ class StoreAppender:
                 for shard in store.shards
             ],
         }
-        os.makedirs(gen_dir, exist_ok=True)
-        atomic_write_text(store_manifest_path(gen_dir), _manifest_text(payload))
-        self._signal(COMMIT_PHASE_FINALIZED)
-        atomic_write_text(
-            live_pointer_path(self._root),
-            json.dumps(
-                {"schema": LIVE_POINTER_VERSION, "generation": generation},
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        self._signal(COMMIT_PHASE_FLIPPED)
-        for entry in os.listdir(self._root):
-            match = _GENERATION_PATTERN.match(entry)
-            if match is not None and int(match.group(1)) != generation:
-                shutil.rmtree(os.path.join(self._root, entry), ignore_errors=True)
+        self._signal(COMMIT_PHASE_WRITTEN)
+        atomic_write_text(store_manifest_path(self._root), _manifest_text(payload))
+        self._signal(COMMIT_PHASE_COMMITTED)
         self._store = store
         self._bases = bases
-        self._committed = generation
         obs.add("store_appends_total")
         return store
 

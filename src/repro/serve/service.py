@@ -8,7 +8,7 @@ serve``.  Each tick it:
    evolution the matching number of days;
 2. commits the interval's column to the live store through
    :class:`~repro.core.store.StoreAppender` (the interval's own
-   files, then the generation manifest, then the pointer flip);
+   files, then one atomic replace of the root manifest);
 3. folds the column into the incremental analyses
    (:class:`~repro.core.metrics.IncrementalBlockMetrics`,
    :class:`~repro.core.churn.IncrementalChurn`) — batch twins stay the
@@ -21,7 +21,8 @@ serve``.  Each tick it:
 **Catch-up**: on start the service replays the already-committed
 intervals through the same kernel — every stream is keyed per block, so
 replay reproduces the committed columns bit for bit (and verifies each
-one, by default) — then resumes collecting where the store left off.
+one against the store) — then resumes collecting where the store left
+off.
 Replay steps the kernel up to a week of committed windows per call
 (:data:`~repro.sim.engine.REPLAY_STEP_DAYS`); a tick steps one window.
 A run killed at any instant therefore converges to the identical
@@ -56,9 +57,10 @@ from repro.sim.population import InternetPopulation
 from repro.sim.scenario import Scenario
 
 #: Called around every commit: ``(interval, phase)`` with the phases of
-#: :data:`repro.core.store.COMMIT_PHASE_FINALIZED` /
-#: :data:`~repro.core.store.COMMIT_PHASE_FLIPPED` — the fault-injection
-#: seam the kill tests and the CI smoke job hook.
+#: :data:`repro.core.store.COMMIT_PHASE_WRITTEN` (before the root
+#: manifest replace) / :data:`~repro.core.store.COMMIT_PHASE_COMMITTED`
+#: (after it) — the fault-injection seam the kill tests and the CI smoke
+#: job hook.
 CommitHook = Callable[[int, str], None]
 
 #: Receives ``(exposition_text, status_dict)`` after every interval.
@@ -97,7 +99,6 @@ class ObservatoryService:
         commit_hook: CommitHook | None = None,
         publish: PublishHook | None = None,
         pace_seconds: float = 0.0,
-        verify_replay: bool = True,
         scenario: "Scenario | None" = None,
     ) -> None:
         if pace_seconds < 0:
@@ -111,7 +112,6 @@ class ObservatoryService:
         self._commit_hook = commit_hook
         self._publish = publish
         self._pace_seconds = pace_seconds
-        self._verify_replay = verify_replay
 
         self._population = InternetPopulation.build(config)
         plan = plan_collection(self._population, num_days, scenario=scenario)
@@ -256,11 +256,11 @@ class ObservatoryService:
         """Replay committed intervals; returns how many were replayed.
 
         Replay re-steps the engine (and routing) through the committed
-        horizon — bit-identical by the per-block stream keying — and,
-        with ``verify_replay`` (the default), checks each replayed
-        column against the stored one, so a store collected under a
-        different configuration fails loudly, naming the first interval
-        that differs, instead of silently forking the dataset.
+        horizon — bit-identical by the per-block stream keying — and
+        checks each replayed column against the stored one, so a store
+        collected under a different configuration fails loudly, naming
+        the first interval that differs, instead of silently forking the
+        dataset.
 
         The simulator is told how many windows are committed, so it may
         simulate up to a week of them per kernel call; columns still
@@ -272,20 +272,16 @@ class ObservatoryService:
         self._simulator.replay_through(committed)
         for interval in range(self._replayed + 1, committed + 1):
             ips, hits = self._next_column()
-            if self._verify_replay:
-                assert store is not None
-                stored_ips, stored_hits = store.column_slice(
-                    interval - 1, 0, 2**32 - 1
+            assert store is not None
+            stored_ips, stored_hits = store.column_slice(interval - 1, 0, 2**32 - 1)
+            if not (
+                np.array_equal(ips, stored_ips) and np.array_equal(hits, stored_hits)
+            ):
+                raise DatasetError(
+                    f"live store at {self._root} does not match the "
+                    f"deterministic replay at interval {interval} — was "
+                    "it collected with a different configuration?"
                 )
-                if not (
-                    np.array_equal(ips, stored_ips)
-                    and np.array_equal(hits, stored_hits)
-                ):
-                    raise DatasetError(
-                        f"live store at {self._root} does not match the "
-                        f"deterministic replay at interval {interval} — was "
-                        "it collected with a different configuration?"
-                    )
             self._fold(ips)
             self._replayed += 1
             self._ctx.add("serve_intervals_replayed_total")

@@ -1,15 +1,17 @@
-"""Tests for the live-store append path (StoreAppender + generations).
+"""Tests for the live-store append path (StoreAppender).
 
 A live store commits each interval once, as an immutable one-snapshot
-store under ``intervals/<k>/``, and lists the committed intervals in a
-manifest-only ``gen_<k>/`` generation that the ``live.json`` pointer
-names.  These tests pin the crash-safety contract — interval files,
-then the generation manifest, then the pointer; a crash at any phase
-leaves a state from which deterministic replay rebuilds the identical
-bytes — and the write-once contract: no append rewrites or deletes a
-committed interval file, so an append's bytes do not grow with the
-history.  Roots in the earlier whole-history layout (each ``gen_<k>/``
-a complete store) stay readable and are refused for appending.
+store under ``intervals/<k>/``, and lists the committed intervals in
+the root's own ``store.manifest.json``, replaced atomically once per
+tick.  These tests pin the crash-safety contract — interval files, then
+the manifest replace; a crash at either phase leaves a state from which
+deterministic replay rebuilds the identical bytes — and the write-once
+contract: no append rewrites or deletes anything under the root, so an
+append's bytes do not grow with the history and a reader that resolved
+or opened the root before a commit still opens it after.  Roots in the
+legacy layouts (a ``live.json`` pointer naming a ``gen_<k>/``
+generation: a manifest of interval files, or earlier a complete store)
+stay readable and are refused for appending.
 """
 
 import datetime
@@ -24,8 +26,8 @@ import pytest
 from repro.core.dataset import ActivityDataset
 from repro.core.io import open_store, save_store
 from repro.core.store import (
-    COMMIT_PHASE_FINALIZED,
-    COMMIT_PHASE_FLIPPED,
+    COMMIT_PHASE_COMMITTED,
+    COMMIT_PHASE_WRITTEN,
     DatasetStore,
     RawNpzReader,
     StoreAppender,
@@ -34,6 +36,7 @@ from repro.core.store import (
     live_pointer_path,
     read_live_pointer,
     resolve_store_root,
+    store_manifest_path,
 )
 from repro.errors import DatasetError
 from repro.obs.manifest import dataset_digest
@@ -77,13 +80,16 @@ class TestAppend:
                 store = appender.append(ips, hits)
                 assert appender.committed == count
                 assert store.num_snapshots == count
-        pointer = read_live_pointer(root)
-        assert pointer == len(dataset)
+        assert read_live_pointer(root) is None
+        with open_store(root) as reopened:
+            assert reopened.num_snapshots == len(dataset)
 
     def test_pointer_resolution_through_open_store(self, tmp_path):
+        # Only a legacy root has a pointer: live.json names its
+        # committed gen_<k>/, whose manifest open_store reads.
         dataset = make_dataset()
         root = tmp_path / "live"
-        append_all(root, dataset)
+        write_generation_layout(root, dataset)
         assert is_store(root)
         resolved = resolve_store_root(root)
         assert os.path.basename(resolved) == generation_dir_name(len(dataset))
@@ -92,14 +98,43 @@ class TestAppend:
                 assert np.array_equal(expected.ips, got.ips)
                 assert np.array_equal(expected.hits, got.hits)
 
-    def test_old_generations_are_collected(self, tmp_path):
-        dataset = make_dataset()
+    def test_root_holds_only_manifest_and_intervals(self, tmp_path):
         root = tmp_path / "live"
-        append_all(root, dataset)
-        generations = sorted(
-            name for name in os.listdir(root) if name.startswith("gen_")
-        )
-        assert generations == [generation_dir_name(len(dataset))]
+        with StoreAppender(root, start=DAY0, window_days=1) as appender:
+            for ips, hits in columns_of(make_dataset()):
+                appender.append(ips, hits)
+                assert sorted(os.listdir(root)) == [
+                    "intervals",
+                    "store.manifest.json",
+                ]
+
+    def test_reader_resolved_before_a_commit_opens_after_it(self, tmp_path):
+        # Resolve (and open) the root, commit more intervals, open the
+        # resolved path again: every committed column and the committed
+        # digest come back, and the early handle still reads its state.
+        dataset = make_dataset()
+        columns = columns_of(dataset)
+        root = tmp_path / "live"
+        with StoreAppender(root, start=DAY0, window_days=1) as appender:
+            appender.append(*columns[0])
+            assert is_store(root)
+            resolved = resolve_store_root(root)
+            assert resolved == os.fspath(root)
+            early = open_store(root)
+            for count, (ips, hits) in enumerate(columns[1:], start=2):
+                committed = appender.append(ips, hits)
+                with DatasetStore.open(resolved) as store:
+                    assert store.num_snapshots == count
+                    assert store.dataset_sha256 == committed.dataset_sha256
+                    assert store.digest() == committed.dataset_sha256
+                    for expected, got in zip(dataset, store.to_dataset()):
+                        assert np.array_equal(expected.ips, got.ips)
+                        assert np.array_equal(expected.hits, got.hits)
+        with early:
+            (only,) = early.to_dataset()
+            assert np.array_equal(only.ips, dataset[0].ips)
+            assert np.array_equal(only.hits, dataset[0].hits)
+        assert committed.dataset_sha256 == dataset_digest(dataset)
 
     def test_new_blocks_between_appends(self, tmp_path):
         # The second interval activates a /24 far below every block of
@@ -190,26 +225,26 @@ class TestCrashProtocol:
         batch.close()
         return survived, recovered
 
-    def test_crash_after_finalize_before_flip(self, tmp_path):
-        # Generation written, pointer not flipped: the interval is NOT
-        # committed; replay rebuilds the stale generation bit-identically.
+    def test_crash_before_manifest_replace(self, tmp_path):
+        # Interval files written, manifest not replaced: the interval is
+        # NOT committed; replay rewrites its files bit-identically.
         survived, recovered = self.run_with_crash(
-            tmp_path, 2, COMMIT_PHASE_FINALIZED
+            tmp_path, 2, COMMIT_PHASE_WRITTEN
         )
         assert survived == 1
         assert recovered == 1
 
-    def test_crash_after_flip_before_gc(self, tmp_path):
-        # Pointer flipped: the interval IS committed even though the
-        # previous generation was never garbage-collected.
+    def test_crash_after_manifest_replace(self, tmp_path):
+        # Manifest replaced: the interval IS committed even though the
+        # appender never returned.
         survived, recovered = self.run_with_crash(
-            tmp_path, 2, COMMIT_PHASE_FLIPPED
+            tmp_path, 2, COMMIT_PHASE_COMMITTED
         )
         assert survived == 1
         assert recovered == 2
 
     @pytest.mark.parametrize(
-        "phase", [COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED]
+        "phase", [COMMIT_PHASE_WRITTEN, COMMIT_PHASE_COMMITTED]
     )
     def test_crash_on_an_interval_adding_a_lower_block(self, tmp_path, phase):
         # Interval 2 activates a /24 below every block of interval 1, so
@@ -237,8 +272,9 @@ class TestCrashProtocol:
                     appender.append(ips, hits)
                 except _Bomb:
                     break
-        expected = 2 if phase == COMMIT_PHASE_FLIPPED else 1
-        assert read_live_pointer(root) == expected
+        expected = 2 if phase == COMMIT_PHASE_COMMITTED else 1
+        with open_store(root) as crashed:
+            assert crashed.num_snapshots == expected
         with StoreAppender(
             root, start=DAY0, window_days=1, shard_blocks=1
         ) as resumed:
@@ -251,12 +287,12 @@ class TestCrashProtocol:
             assert reopened.digest() == dataset_digest(dataset)
             assert len(list(reopened.iter_shards())) == 3
 
-    def test_stale_generation_is_ignored_on_open(self, tmp_path):
+    def test_uncommitted_interval_is_ignored_on_open(self, tmp_path):
         dataset = make_dataset()
         root = tmp_path / "live"
 
         def hook(phase):
-            if phase == COMMIT_PHASE_FINALIZED and hook.interval == 3:
+            if phase == COMMIT_PHASE_WRITTEN and hook.interval == 3:
                 raise _Bomb(phase)
 
         columns = columns_of(dataset)
@@ -269,14 +305,13 @@ class TestCrashProtocol:
                     appender.append(ips, hits)
                 except _Bomb:
                     break
-        # gen_000003 exists and is a complete store, but the pointer
-        # still names gen_000002 — resolution must follow the pointer.
-        assert os.path.isdir(root / generation_dir_name(3))
-        assert read_live_pointer(root) == 2
-        resolved = resolve_store_root(root)
-        assert os.path.basename(resolved) == generation_dir_name(2)
+        # intervals/000003/ exists and is a complete one-snapshot
+        # store, but the root manifest still commits two intervals.
+        with open_store(root / "intervals" / "000003") as written:
+            assert written.num_snapshots == 1
         with open_store(root) as store:
             assert store.num_snapshots == 2
+            assert store.digest() == dataset_digest(ActivityDataset(dataset.snapshots[:2]))
 
 
 class TestPointerEdges:
@@ -380,11 +415,6 @@ class TestIntervalLayout:
         # One interval's bytes per append, whatever the history length
         # (manifests differ only in the digits of their address ranges).
         assert max(written) - min(written) <= 8
-        generations = [name for name in os.listdir(root) if name.startswith("gen_")]
-        assert generations == [generation_dir_name(len(dataset))]
-        assert os.listdir(os.path.join(root, generations[0])) == [
-            "store.manifest.json"
-        ]
 
     def test_missing_interval_file_is_named(self, tmp_path):
         root = str(tmp_path / "live")
@@ -412,18 +442,59 @@ class TestIntervalLayout:
         assert victim in str(excinfo.value)
 
     def test_whole_history_layout_reads_but_refuses_append(self, tmp_path):
-        # The earlier layout: each generation a complete address-tiled
+        # The earliest layout: each generation a complete address-tiled
         # store, named by the pointer.
         root = tmp_path / "live"
         dataset = make_dataset()
         save_store(
             root / generation_dir_name(len(dataset)), dataset, shard_blocks=2
         ).close()
-        with open(live_pointer_path(root), "w") as handle:
-            json.dump({"schema": 1, "generation": len(dataset)}, handle)
+        write_pointer(root, len(dataset))
         with open_store(root) as store:
             assert store.dataset_sha256 == dataset_digest(dataset)
             for expected, got in zip(dataset, store.to_dataset()):
                 assert np.array_equal(expected.ips, got.ips)
-        with pytest.raises(DatasetError, match="whole-history"):
-            StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2)
+        assert_refused_as_legacy(root)
+
+    def test_interval_generation_layout_reads_but_refuses_append(self, tmp_path):
+        root = tmp_path / "live"
+        dataset = make_dataset()
+        write_generation_layout(root, dataset)
+        with open_store(root) as store:
+            assert store.dataset_sha256 == dataset_digest(dataset)
+            assert store.digest() == dataset_digest(dataset)
+        assert_refused_as_legacy(root)
+
+
+def write_pointer(root, generation):
+    with open(live_pointer_path(root), "w") as handle:
+        json.dump({"schema": 1, "generation": generation}, handle)
+
+
+def write_generation_layout(root, dataset):
+    """The live layout before the root manifest, built by hand.
+
+    Interval stores under ``intervals/``, and the pointer naming a
+    manifest-only ``gen_<k>/`` whose rows reach the interval files
+    through ``..``.
+    """
+    append_all(root, dataset)
+    with open(store_manifest_path(root)) as handle:
+        payload = json.load(handle)
+    for row in payload["shards"]:
+        row["name"] = f"../{row['name']}"
+    generation = root / generation_dir_name(len(dataset))
+    os.makedirs(generation)
+    with open(store_manifest_path(generation), "w") as handle:
+        json.dump(payload, handle)
+    os.unlink(store_manifest_path(root))
+    write_pointer(root, len(dataset))
+
+
+def assert_refused_as_legacy(root):
+    """Both legacy layouts meet the same one-line refusal."""
+    with pytest.raises(DatasetError, match="legacy layout") as excinfo:
+        StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2)
+    message = str(excinfo.value)
+    assert "whole-history" in message and "new store directory" in message
+    assert "\n" not in message

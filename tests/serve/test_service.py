@@ -1,9 +1,10 @@
 """End-to-end tests for the live observatory service.
 
 The headline contract: a serve run killed at any instant — even with a
-hard ``os._exit`` between the two commit phases — converges after
-restart to the bit-identical dataset SHA-256 of an uninterrupted batch
-run, and its incremental analyses equal the batch analyses exactly.
+hard ``os._exit`` between the interval write and the manifest replace —
+converges after restart to the bit-identical dataset SHA-256 of an
+uninterrupted batch run, and its incremental analyses equal the batch
+analyses exactly.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from repro.core.churn import transition_churn
 from repro.core.metrics import compute_block_metrics
-from repro.core.store import COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED
+from repro.core.store import COMMIT_PHASE_COMMITTED, COMMIT_PHASE_WRITTEN
 from repro.errors import DatasetError
 from repro.obs.manifest import dataset_digest, load_manifest, manifest_path_for
 from repro.serve import MetricsEndpoint, ObservatoryService
@@ -66,7 +67,7 @@ class TestConvergence:
         assert service.churn_transitions() == transition_churn(dataset)
 
     @pytest.mark.parametrize(
-        "phase", [COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED]
+        "phase", [COMMIT_PHASE_WRITTEN, COMMIT_PHASE_COMMITTED]
     )
     def test_in_process_crash_then_restart_converges(self, tmp_path, phase):
         root = tmp_path / "live"
@@ -97,7 +98,7 @@ class TestConvergence:
         assert len(service.churn_transitions()) == NUM_DAYS - 1
 
     @pytest.mark.parametrize(
-        "phase", [COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED]
+        "phase", [COMMIT_PHASE_WRITTEN, COMMIT_PHASE_COMMITTED]
     )
     def test_crash_on_an_interval_adding_a_block_converges(self, tmp_path, phase):
         # In this world a /24 is first active on day 4: the crash hits
@@ -130,7 +131,7 @@ class TestConvergence:
         with ObservatoryService(
             config, num_days=NUM_DAYS, window_days=1, store_root=root
         ) as restarted:
-            assert restarted.committed == (4 if phase == COMMIT_PHASE_FLIPPED else 3)
+            assert restarted.committed == (4 if phase == COMMIT_PHASE_COMMITTED else 3)
             report = restarted.run()
         assert report.complete
         assert report.dataset_sha256 == dataset_digest(dataset)
@@ -237,7 +238,7 @@ class TestCLI:
             tmp_path,
             *serve_args,
             "--inject-kill-interval", "3",
-            "--inject-kill-phase", COMMIT_PHASE_FINALIZED,
+            "--inject-kill-phase", COMMIT_PHASE_WRITTEN,
         )
         assert killed.returncode == 86, killed.stderr
         assert "injected kill" in killed.stderr

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.core.io import save_store
+from tests.core.test_store import make_dataset
 
 
 @pytest.fixture()
@@ -394,6 +396,50 @@ class TestServeCommand:
         )
         assert code == 2
         assert "--window-days" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("foreign-seed", "does not match the deterministic replay at interval 1"),
+            ("short-horizon", "configured horizon is only 2"),
+            ("plain-store", "holds a plain store manifest"),
+            ("legacy-layout", "uses a legacy layout"),
+        ],
+    )
+    def test_serve_refusal_is_one_stderr_line(self, tmp_path, capsys, case, message):
+        # A store this run must not extend exits 1 with one line naming
+        # why, never a traceback.
+        root = tmp_path / "live"
+
+        def serve(seed="4", days="4"):
+            return main(
+                [
+                    "serve",
+                    "--seed", seed,
+                    "--ases", "12",
+                    "--blocks-per-as", "3",
+                    "--days", days,
+                    "--store-dir", str(root),
+                ]
+            )
+
+        if case == "plain-store":
+            save_store(root, make_dataset(), shard_blocks=2).close()
+        elif case == "legacy-layout":
+            root.mkdir()
+            (root / "live.json").write_text('{"schema": 1, "generation": 1}')
+        else:
+            assert serve() == 0
+        capsys.readouterr()
+        if case == "foreign-seed":
+            assert serve(seed="5") == 1
+        elif case == "short-horizon":
+            assert serve(days="2") == 1
+        else:
+            assert serve() == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro serve: "), err
+        assert message in err[0]
 
     def test_serve_max_intervals_pauses(self, tmp_path, capsys):
         args = [

@@ -1,31 +1,35 @@
 """Family P6: commit-protocol write ordering.
 
-The store's crash-safety story (DESIGN.md, "Live observatory") is a
-two-level commit protocol: *within* a generation the manifest is
-written last (``StoreWriter.finalize``), and *across* generations the
-``live.json`` pointer flip is the commit point — data and manifest
-must be durable before the pointer moves, and nothing may be destroyed
-until after it has.  These rules verify the ordering on every path
-through each function with a must-reach dataflow analysis over the
-CFG (intersection join: the prerequisite must have executed on *every*
-path into the dependent write), and flag writes to protocol paths that
-bypass the atomic helpers:
+The store's crash-safety story (DESIGN.md, "Live observatory") is
+manifest-last: the files a store manifest names must be durable before
+the manifest lands, whether the manifest closes one store
+(``StoreWriter.finalize``) or commits a live store's tick — there the
+atomic replace of the root ``store.manifest.json`` is the only commit
+point, and nothing under the root is destroyed.  Live stores no longer
+write a pointer (a legacy ``live.json`` is only read, by
+``resolve_store_root``), so the pointer rules stand guard against a
+pointer-style commit coming back in the wrong order.  The rules verify
+the ordering on every path through each function with a must-reach
+dataflow analysis over the CFG (intersection join: the prerequisite
+must have executed on *every* path into the dependent write), and flag
+writes to protocol paths that bypass the atomic helpers:
 
 - P601 — a pointer write (``live.json`` / ``live_pointer_path``) not
-  dominated by the generation's manifest write or ``finalize()`` call;
+  dominated by the manifest write or ``finalize()`` call it names;
 - P602 — a destructive operation (``rmtree``/``unlink``/``remove``)
   in a commit function not dominated by the pointer flip: on a crash
-  between the destroy and the flip, the old generation is gone and the
+  between the destroy and the flip, the old state is gone and the
   pointer still names it;
 - P603 — a non-atomic write primitive aimed at a protocol path
   (manifest or pointer): partial writes of these files brick readers,
-  so they must go through the ``atomic_write_*`` helpers.
+  so they must go through the ``atomic_write_*`` helpers — the rule
+  that keeps the live root's manifest replace atomic.
 
 Both P601 and P602 only engage in functions that contain *both* sides
 of the ordering they check — a function that only writes the manifest,
-or only GCs old generations, encodes no intra-function ordering to
-verify (cross-function protocol phases are sequenced by their sole
-caller and exercised by the commit-phase fault-injection tests).
+or only destroys files, encodes no intra-function ordering to verify
+(cross-function protocol phases are sequenced by their sole caller and
+exercised by the commit-phase fault-injection tests).
 """
 
 from __future__ import annotations
