@@ -707,7 +707,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         except DatasetError as error:
             # A store this run must not extend: replay mismatch, horizon,
-            # plain or legacy root.  The message says which.
+            # plain or retired-layout root.  The message says which.
             print(f"repro serve: {error}", file=sys.stderr)
             return 1
     finally:

@@ -513,17 +513,16 @@ def open_store(path: str | os.PathLike[str]) -> "DatasetStore":
 
     Eagerly checks the manifest and every shard's header (day range,
     block tiling, address ranges) but reads shard data lazily — see
-    :class:`repro.core.store.DatasetStore`.  A live-store root
-    (appended interval by interval through ``StoreAppender``) opens
-    through its own manifest, like a batch store; a root in the legacy
-    ``live.json`` + ``gen_<k>/`` layout resolves to its committed
-    generation (``resolve_store_root``).  Raises
-    :class:`~repro.errors.DatasetError` on any structural defect.
+    :class:`repro.core.store.DatasetStore`.  A batch store and a live
+    store (appended interval by interval through ``StoreAppender``)
+    both open through the root's own ``store.manifest.json``.  Raises
+    :class:`~repro.errors.DatasetError` on any structural defect,
+    including a directory with no manifest.
     """
-    from repro.core.store import DatasetStore, resolve_store_root
+    from repro.core.store import DatasetStore
 
     with obs.span("io/open_store"):
-        store = DatasetStore.open(resolve_store_root(path))
+        store = DatasetStore.open(path)
         obs.add("stores_opened_total")
         return store
 

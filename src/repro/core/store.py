@@ -27,7 +27,8 @@ address order — so :meth:`DatasetStore.column_slice`,
 :meth:`~DatasetStore.to_dataset`, :meth:`~DatasetStore.digest` and the
 streamed passes of :meth:`~DatasetStore.iter_shards` have a single read
 path; a batch store is the case where one file holds every snapshot of
-its range.
+its range.  Either kind opens one way: :meth:`DatasetStore.open` reads
+the root's ``store.manifest.json``, the only manifest a store has.
 
 Shard files reuse the checkpoint naming convention from
 :mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz`` keyed by
@@ -90,13 +91,6 @@ INTERVAL_FORMAT_VERSION = 2
 #: Manifest file name inside a store directory.
 STORE_MANIFEST_NAME = "store.manifest.json"
 
-#: Pointer file name of the legacy live layout, which named its
-#: committed ``gen_<k>/`` manifest; read, never written.
-LIVE_POINTER_NAME = "live.json"
-
-#: The only legacy live-pointer schema.
-LIVE_POINTER_VERSION = 1
-
 #: Directory inside a live store root holding one store per interval.
 INTERVALS_DIR_NAME = "intervals"
 
@@ -126,11 +120,6 @@ def store_manifest_path(root: str | os.PathLike[str]) -> str:
     return os.path.join(os.fspath(root), STORE_MANIFEST_NAME)
 
 
-def generation_dir_name(generation: int) -> str:
-    """Directory name of one legacy live-store generation (1-based)."""
-    return f"gen_{generation:06d}"
-
-
 def interval_dir_name(interval: int) -> str:
     """Directory name of one committed live-store interval (1-based)."""
     return f"{interval:06d}"
@@ -147,79 +136,9 @@ def interval_shard_name(interval: int, num_blocks: int) -> str:
     )
 
 
-def live_pointer_path(root: str | os.PathLike[str]) -> str:
-    """Path of the legacy generation pointer inside live store *root*."""
-    return os.path.join(os.fspath(root), LIVE_POINTER_NAME)
-
-
-def read_live_pointer(root: str | os.PathLike[str]) -> int | None:
-    """The committed generation number of legacy live store *root*.
-
-    Returns ``None`` when no pointer file exists (the directory is not
-    a legacy live store); raises
-    :class:`~repro.errors.DatasetError` on a malformed pointer.
-    """
-    target = live_pointer_path(root)
-    try:
-        with open(target, encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, OSError) as exc:
-        raise DatasetError(
-            f"corrupt or unreadable live-store pointer: {target} ({exc})"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise DatasetError(f"malformed live-store pointer: {target}")
-    try:
-        schema = int(payload["schema"])
-        generation = int(payload["generation"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(
-            f"malformed live-store pointer: {target} ({exc})"
-        ) from exc
-    if schema != LIVE_POINTER_VERSION:
-        raise DatasetError(
-            f"unsupported live-store pointer schema in {target}: {schema}"
-        )
-    if generation < 1:
-        raise DatasetError(
-            f"malformed live-store pointer: {target} (generation {generation})"
-        )
-    return generation
-
-
-def resolve_store_root(path: str | os.PathLike[str]) -> str:
-    """The directory whose manifest describes *path*'s dataset.
-
-    A store directory holding its own manifest resolves to itself: a
-    batch store, and a **live** store, whose snapshots
-    :class:`StoreAppender` commits interval by interval to the root
-    manifest.  Live roots written before that layout described each
-    committed state with a manifest under ``gen_<k>/`` and named the
-    current one in ``live.json``; such a legacy root resolves to its
-    committed generation directory, so ``open_store`` and ``repro
-    analyze`` keep reading it.  This is the only reader of the pointer.
-    """
-    root = os.fspath(path)
-    if os.path.isfile(store_manifest_path(root)):
-        return root
-    generation = read_live_pointer(root)
-    if generation is not None:
-        return os.path.join(root, generation_dir_name(generation))
-    return root
-
-
 def is_store(path: str | os.PathLike[str]) -> bool:
-    """True when *path* is (or resolves to) a store-manifest directory."""
-    target = os.fspath(path)
-    if not os.path.isdir(target):
-        return False
-    try:
-        resolved = resolve_store_root(target)
-    except DatasetError:
-        return False
-    return os.path.isfile(store_manifest_path(resolved))
+    """True when *path* is a directory holding a store manifest."""
+    return os.path.isfile(store_manifest_path(path))
 
 
 #: The header ``np.save`` writes for a plain array, e.g.
@@ -1126,8 +1045,7 @@ def _interval_shards(
             )
         name = interval_shard_name(index + 1, info.block_stop)
         if (
-            # A legacy manifest in gen_<k>/ names the file from one level down.
-            info.name not in (name, f"{os.pardir}/{name}")
+            info.name != name
             or info.block_start != 0
             or not 0 < info.block_stop <= num_blocks
         ):
@@ -1409,9 +1327,10 @@ class StoreAppender:
     the files its manifest named; one that opens it after reads the new
     manifest.
 
-    Live roots in a legacy layout (a ``live.json`` pointer naming a
-    ``gen_<k>/`` manifest) stay readable through :func:`resolve_store_root`
-    but are refused here.
+    A root in a retired layout (a ``live.json`` pointer naming a
+    ``gen_<k>/`` generation) is refused before anything is written
+    under it; ``open_store`` reports it as a directory with no
+    ``store.manifest.json``.
 
     The optional *commit_hook* is called with
     :data:`COMMIT_PHASE_WRITTEN` once the interval's files are durable,
@@ -1434,12 +1353,10 @@ class StoreAppender:
         if shard_blocks < 1:
             raise DatasetError(f"bad shard size: {shard_blocks} blocks")
         self._root = os.fspath(root)
-        if os.path.isfile(live_pointer_path(self._root)):
+        if os.path.exists(os.path.join(self._root, "live.json")):
             raise DatasetError(
-                f"live store at {self._root} uses a legacy layout (a "
-                f"{LIVE_POINTER_NAME} pointer to gen_<k>/ generations of "
-                "interval manifests or whole-history shards); it stays "
-                "readable, but appending commits to a root manifest — "
+                f"live store at {self._root} uses a legacy layout, now "
+                "retired (a live.json pointer to gen_<k>/ generations); "
                 "collect into a new store directory"
             )
         os.makedirs(self._root, exist_ok=True)

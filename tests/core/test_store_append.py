@@ -7,11 +7,11 @@ tick.  These tests pin the crash-safety contract — interval files, then
 the manifest replace; a crash at either phase leaves a state from which
 deterministic replay rebuilds the identical bytes — and the write-once
 contract: no append rewrites or deletes anything under the root, so an
-append's bytes do not grow with the history and a reader that resolved
-or opened the root before a commit still opens it after.  Roots in the
-legacy layouts (a ``live.json`` pointer naming a ``gen_<k>/``
-generation: a manifest of interval files, or earlier a complete store)
-stay readable and are refused for appending.
+append's bytes do not grow with the history and a reader that opened
+the root before a commit still opens it after.  Roots in the retired
+layouts (a ``live.json`` pointer naming a ``gen_<k>/`` generation: a
+manifest of interval files, or earlier a complete store) have no
+reader; appending to one is refused before anything under it changes.
 """
 
 import datetime
@@ -23,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.dataset import ActivityDataset
 from repro.core.io import open_store, save_store
 from repro.core.store import (
@@ -31,11 +32,7 @@ from repro.core.store import (
     DatasetStore,
     RawNpzReader,
     StoreAppender,
-    generation_dir_name,
     is_store,
-    live_pointer_path,
-    read_live_pointer,
-    resolve_store_root,
     store_manifest_path,
 )
 from repro.errors import DatasetError
@@ -80,23 +77,9 @@ class TestAppend:
                 store = appender.append(ips, hits)
                 assert appender.committed == count
                 assert store.num_snapshots == count
-        assert read_live_pointer(root) is None
+        assert not (root / "live.json").exists()
         with open_store(root) as reopened:
             assert reopened.num_snapshots == len(dataset)
-
-    def test_pointer_resolution_through_open_store(self, tmp_path):
-        # Only a legacy root has a pointer: live.json names its
-        # committed gen_<k>/, whose manifest open_store reads.
-        dataset = make_dataset()
-        root = tmp_path / "live"
-        write_generation_layout(root, dataset)
-        assert is_store(root)
-        resolved = resolve_store_root(root)
-        assert os.path.basename(resolved) == generation_dir_name(len(dataset))
-        with open_store(root) as store:
-            for expected, got in zip(dataset, store.to_dataset()):
-                assert np.array_equal(expected.ips, got.ips)
-                assert np.array_equal(expected.hits, got.hits)
 
     def test_root_holds_only_manifest_and_intervals(self, tmp_path):
         root = tmp_path / "live"
@@ -109,21 +92,19 @@ class TestAppend:
                 ]
 
     def test_reader_resolved_before_a_commit_opens_after_it(self, tmp_path):
-        # Resolve (and open) the root, commit more intervals, open the
-        # resolved path again: every committed column and the committed
-        # digest come back, and the early handle still reads its state.
+        # Open the root, commit more intervals, open the root again:
+        # every committed column and the committed digest come back,
+        # and the early handle still reads its state.
         dataset = make_dataset()
         columns = columns_of(dataset)
         root = tmp_path / "live"
         with StoreAppender(root, start=DAY0, window_days=1) as appender:
             appender.append(*columns[0])
             assert is_store(root)
-            resolved = resolve_store_root(root)
-            assert resolved == os.fspath(root)
             early = open_store(root)
             for count, (ips, hits) in enumerate(columns[1:], start=2):
                 committed = appender.append(ips, hits)
-                with DatasetStore.open(resolved) as store:
+                with DatasetStore.open(root) as store:
                     assert store.num_snapshots == count
                     assert store.dataset_sha256 == committed.dataset_sha256
                     assert store.digest() == committed.dataset_sha256
@@ -190,9 +171,12 @@ class _Bomb(Exception):
 
 
 class TestCrashProtocol:
-    def run_with_crash(self, tmp_path, crash_interval, crash_phase):
+    def run_with_crash(self, tmp_path, crash_interval, crash_phase, after_crash=None):
         """Append with a hook that raises at one commit phase, then
-        reopen and finish — the result must match an untouched run."""
+        reopen and finish — the result must match an untouched run.
+
+        *after_crash*, if given, is called with the root between the
+        crash and the restart."""
         dataset = make_dataset()
         root = tmp_path / "live"
 
@@ -212,6 +196,8 @@ class TestCrashProtocol:
                     survived += 1
                 except _Bomb:
                     break
+        if after_crash is not None:
+            after_crash(root)
         # "Restart": a fresh appender continues from the durable state.
         with StoreAppender(
             root, start=DAY0, window_days=1, shard_blocks=2
@@ -233,6 +219,29 @@ class TestCrashProtocol:
         )
         assert survived == 1
         assert recovered == 1
+
+    def test_crash_before_first_commit(self, tmp_path):
+        # Interval 1's files are written and no root manifest exists
+        # yet: a crash state, not a retired layout.  The restart starts
+        # from nothing and rewrites interval 1 with the same bytes.
+        written = {}
+
+        def crashed(root):
+            assert sorted(os.listdir(root)) == ["intervals"]
+            assert os.listdir(root / "intervals") == ["000001"]
+            assert not is_store(root)
+            written.update(
+                {path: file_state(path)[1:] for path in interval_files(root, "*")}
+            )
+
+        survived, recovered = self.run_with_crash(
+            tmp_path, 1, COMMIT_PHASE_WRITTEN, after_crash=crashed
+        )
+        assert survived == 0
+        assert recovered == 0
+        assert len(written) == 2  # the shard file and its manifest
+        for path, state in written.items():
+            assert file_state(path)[1:] == state
 
     def test_crash_after_manifest_replace(self, tmp_path):
         # Manifest replaced: the interval IS committed even though the
@@ -314,27 +323,6 @@ class TestCrashProtocol:
             assert store.digest() == dataset_digest(ActivityDataset(dataset.snapshots[:2]))
 
 
-class TestPointerEdges:
-    def test_corrupt_pointer_raises(self, tmp_path):
-        root = tmp_path / "live"
-        os.makedirs(root)
-        with open(live_pointer_path(root), "w") as handle:
-            handle.write("{nope")
-        with pytest.raises(DatasetError, match="pointer"):
-            read_live_pointer(root)
-
-    def test_wrong_schema_raises(self, tmp_path):
-        root = tmp_path / "live"
-        os.makedirs(root)
-        with open(live_pointer_path(root), "w") as handle:
-            json.dump({"schema": 99, "generation": 1}, handle)
-        with pytest.raises(DatasetError, match="schema"):
-            read_live_pointer(root)
-
-    def test_missing_pointer_is_none(self, tmp_path):
-        assert read_live_pointer(tmp_path) is None
-
-
 class TestColumnSlice:
     def test_slice_reassembles_full_columns(self, tmp_path):
         dataset = make_dataset()
@@ -358,11 +346,11 @@ class TestColumnSlice:
 
     def test_block_bases_union(self, tmp_path):
         # The live store records the /24 union of every appended
-        # interval in its generation manifest; a reopened store reads
-        # it back without touching a column.
+        # interval in its root manifest; a reopened store reads it back
+        # without touching a column.
         root = tmp_path / "live"
         append_all(root, make_dataset())
-        with DatasetStore.open(resolve_store_root(root)) as store:
+        with DatasetStore.open(root) as store:
             assert store.block_bases.tolist() == [
                 0x0A000000, 0x0A000100, 0x0B000000, 0xC0000200
             ]
@@ -441,60 +429,71 @@ class TestIntervalLayout:
                 store.verify()
         assert victim in str(excinfo.value)
 
-    def test_whole_history_layout_reads_but_refuses_append(self, tmp_path):
-        # The earliest layout: each generation a complete address-tiled
-        # store, named by the pointer.
-        root = tmp_path / "live"
-        dataset = make_dataset()
-        save_store(
-            root / generation_dir_name(len(dataset)), dataset, shard_blocks=2
-        ).close()
-        write_pointer(root, len(dataset))
-        with open_store(root) as store:
-            assert store.dataset_sha256 == dataset_digest(dataset)
-            for expected, got in zip(dataset, store.to_dataset()):
-                assert np.array_equal(expected.ips, got.ips)
-        assert_refused_as_legacy(root)
 
-    def test_interval_generation_layout_reads_but_refuses_append(self, tmp_path):
-        root = tmp_path / "live"
-        dataset = make_dataset()
-        write_generation_layout(root, dataset)
-        with open_store(root) as store:
-            assert store.dataset_sha256 == dataset_digest(dataset)
-            assert store.digest() == dataset_digest(dataset)
-        assert_refused_as_legacy(root)
+def write_retired_layout(root, dataset, layout):
+    """A live root in one of the retired layouts, built by hand.
 
-
-def write_pointer(root, generation):
-    with open(live_pointer_path(root), "w") as handle:
-        json.dump({"schema": 1, "generation": generation}, handle)
-
-
-def write_generation_layout(root, dataset):
-    """The live layout before the root manifest, built by hand.
-
-    Interval stores under ``intervals/``, and the pointer naming a
-    manifest-only ``gen_<k>/`` whose rows reach the interval files
-    through ``..``.
+    ``interval-generations``: interval stores under ``intervals/`` and
+    a manifest-only ``gen_<k>/`` whose rows reach them through ``..``.
+    ``whole-history``: ``gen_<k>/`` is a complete address-tiled store.
+    Either way ``live.json`` names the generation and the root holds
+    no manifest of its own.
     """
-    append_all(root, dataset)
-    with open(store_manifest_path(root)) as handle:
-        payload = json.load(handle)
-    for row in payload["shards"]:
-        row["name"] = f"../{row['name']}"
-    generation = root / generation_dir_name(len(dataset))
-    os.makedirs(generation)
-    with open(store_manifest_path(generation), "w") as handle:
-        json.dump(payload, handle)
-    os.unlink(store_manifest_path(root))
-    write_pointer(root, len(dataset))
+    generation = root / f"gen_{len(dataset):06d}"
+    if layout == "whole-history":
+        save_store(generation, dataset, shard_blocks=2).close()
+    else:
+        append_all(root, dataset)
+        with open(store_manifest_path(root)) as handle:
+            payload = json.load(handle)
+        for row in payload["shards"]:
+            row["name"] = f"../{row['name']}"
+        os.makedirs(generation)
+        with open(store_manifest_path(generation), "w") as handle:
+            json.dump(payload, handle)
+        os.unlink(store_manifest_path(root))
+    with open(root / "live.json", "w") as handle:
+        json.dump({"schema": 1, "generation": len(dataset)}, handle)
 
 
-def assert_refused_as_legacy(root):
-    """Both legacy layouts meet the same one-line refusal."""
-    with pytest.raises(DatasetError, match="legacy layout") as excinfo:
-        StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2)
-    message = str(excinfo.value)
-    assert "whole-history" in message and "new store directory" in message
-    assert "\n" not in message
+def tree_state(root):
+    """Every path under *root*, with each file's size and SHA-256."""
+    state = {}
+    for parent, dirs, files in os.walk(root):
+        for name in dirs:
+            state[os.path.relpath(os.path.join(parent, name), root)] = None
+        for name in files:
+            path = os.path.join(parent, name)
+            state[os.path.relpath(path, root)] = file_state(path)[1:]
+    return state
+
+
+class TestRetiredLayouts:
+    @pytest.mark.parametrize("layout", ["interval-generations", "whole-history"])
+    def test_retired_root_is_refused_and_left_untouched(
+        self, tmp_path, capsys, layout
+    ):
+        root = tmp_path / "live"
+        write_retired_layout(root, make_dataset(), layout)
+        before = tree_state(root)
+        with pytest.raises(DatasetError, match="legacy layout, now retired") as excinfo:
+            StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2)
+        message = str(excinfo.value)
+        assert "new store directory" in message and "\n" not in message
+        code = main(
+            [
+                "serve",
+                "--seed", "4",
+                "--ases", "12",
+                "--blocks-per-as", "3",
+                "--days", "4",
+                "--store-dir", str(root),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"repro serve: {message}"]
+        assert tree_state(root) == before
+        assert not is_store(root)
+        with pytest.raises(DatasetError, match="missing store.manifest.json") as excinfo:
+            open_store(root)
+        assert str(root) in str(excinfo.value)

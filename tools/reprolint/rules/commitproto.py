@@ -6,8 +6,8 @@ the manifest lands, whether the manifest closes one store
 (``StoreWriter.finalize``) or commits a live store's tick — there the
 atomic replace of the root ``store.manifest.json`` is the only commit
 point, and nothing under the root is destroyed.  Live stores no longer
-write a pointer (a legacy ``live.json`` is only read, by
-``resolve_store_root``), so the pointer rules stand guard against a
+write or read a pointer (a retired ``live.json`` is only refused,
+by ``StoreAppender``), so the pointer rules stand guard against a
 pointer-style commit coming back in the wrong order.  The rules verify
 the ordering on every path through each function with a must-reach
 dataflow analysis over the CFG (intersection join: the prerequisite
