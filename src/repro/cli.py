@@ -760,19 +760,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # One dataset object for the whole run: every analysis below reuses
     # its memoized DatasetIndex (union, projections, block scatter).
     ctx = ObsContext()
-    with obs_api.activate(ctx):
-        if os.path.isdir(args.dataset):
-            with open_store(args.dataset) as store:
-                _analyze_store(store, args)
-        else:
-            dataset = load_dataset(args.dataset)
-            if args.analysis == "all":
-                for run in _ANALYSES.values():
-                    run(dataset, args)
+    try:
+        with obs_api.activate(ctx):
+            if os.path.isdir(args.dataset):
+                with open_store(args.dataset) as store:
+                    _analyze_store(store, args)
             else:
-                _ANALYSES[args.analysis](dataset, args)
-            if args.detect_events:
-                _analyze_events(dataset, args)
+                dataset = load_dataset(args.dataset)
+                if args.analysis == "all":
+                    for run in _ANALYSES.values():
+                        run(dataset, args)
+                else:
+                    _ANALYSES[args.analysis](dataset, args)
+                if args.detect_events:
+                    _analyze_events(dataset, args)
+    except DatasetError as error:
+        print(f"repro analyze: {error}", file=sys.stderr)
+        return 1
     _export_obs(ctx, args)
     return 0
 

@@ -15,7 +15,7 @@ holds every snapshot of it::
 
     <root>/
         store.manifest.json          # schema, day range, shard table,
-                                     # per-shard SHA-256, dataset SHA-256
+                                     # per-shard file SHA-256
         shard_000000_000256.npz      # blocks [0, 256) of the sorted
         shard_000256_000512.npz      # active-/24 table, all snapshots
 
@@ -28,7 +28,8 @@ address order — so :meth:`DatasetStore.column_slice`,
 streamed passes of :meth:`~DatasetStore.iter_shards` have a single read
 path; a batch store is the case where one file holds every snapshot of
 its range.  Either kind opens one way: :meth:`DatasetStore.open` reads
-the root's ``store.manifest.json``, the only manifest a store has.
+the root's ``store.manifest.json``, the only manifest a store has.  It
+records files, not the dataset SHA-256, which is computed on demand.
 
 Shard files reuse the checkpoint naming convention from
 :mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz`` keyed by
@@ -80,6 +81,7 @@ from repro.core.io import (
 )
 from repro.errors import DatasetError
 from repro.obs import context as obs
+from repro.obs.manifest import digest_stream
 
 #: Bump when the shard payload or manifest schema changes.
 STORE_FORMAT_VERSION = 1
@@ -568,52 +570,6 @@ class StoreShard:
             ) from exc
 
 
-def _streamed_digest(
-    holders: Sequence[Sequence[StoreShard]],
-    start: datetime.date,
-    window_days: int,
-) -> str:
-    """The dataset SHA-256, computed shard-at-a-time in bounded memory.
-
-    *holders* lists, per snapshot, the shards holding its column in
-    ascending address order.  Byte-for-byte the same stream as
-    :func:`repro.obs.manifest.dataset_digest` hashes for the in-memory
-    dataset: the header line, then per snapshot, per column kind, the
-    dtype/size prefix followed by the column bytes.  A column split
-    across shards in ascending address order is fed shard by shard,
-    which reproduces the concatenated column exactly — holding only one
-    member in memory at a time.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"v1|{start.toordinal()}|{window_days}|{len(holders)}".encode())
-    try:
-        for index, shards in enumerate(holders):
-            total = sum(
-                shard.snapshot_sizes()[index - shard.snapshots.start]
-                for shard in shards
-            )
-            for member_prefix, expected_dtype in (("ips", "<u4"), ("hits", "<u8")):
-                digest.update(f"|{expected_dtype}|{total}|".encode())
-                for shard in shards:
-                    name = shard.member(member_prefix, index)
-                    column = shard.reader().array(name)
-                    if column.dtype.str != expected_dtype:
-                        raise DatasetError(
-                            f"bad column dtype in shard {shard.path}: "
-                            f"{name} is {column.dtype.str}, "
-                            f"expected {expected_dtype}"
-                        )
-                    # The buffer itself: the bytes tobytes() would copy.
-                    digest.update(np.ascontiguousarray(column).data)
-    finally:
-        # Each shard's reader was opened here; release every one even
-        # on a mid-stream error (the callers' shards reopen lazily).
-        for shards in holders:
-            for shard in shards:
-                shard.close()
-    return digest.hexdigest()
-
-
 class StoreRange:
     """One address range of a store across every snapshot.
 
@@ -665,7 +621,6 @@ class DatasetStore:
         num_snapshots: int,
         shard_blocks: int,
         num_blocks: int,
-        dataset_sha256: str,
         shards: list[StoreShard],
         block_bases: NDArray[np.int64] | None = None,
     ) -> None:
@@ -675,11 +630,11 @@ class DatasetStore:
         self.num_snapshots = num_snapshots
         self.shard_blocks = shard_blocks
         self.num_blocks = num_blocks
-        self.dataset_sha256 = dataset_sha256
         self.shards = shards
         #: The sorted /24 union a live manifest records; ``None`` for
         #: a batch store, whose shards carry the block table.
         self.block_bases = block_bases
+        self._dataset_sha256: str | None = None
         self._holders: list[list[StoreShard]] = [[] for _ in range(num_snapshots)]
         for shard in shards:
             for index in shard.snapshots:
@@ -840,9 +795,37 @@ class DatasetStore:
             )
         return ActivityDataset(snapshots)
 
+    @property
+    def dataset_sha256(self) -> str:
+        """The dataset SHA-256: :meth:`digest`, computed once per handle."""
+        if self._dataset_sha256 is None:
+            self._dataset_sha256 = self.digest()
+        return self._dataset_sha256
+
     def digest(self) -> str:
-        """Recompute the dataset SHA-256 by streaming over the shards."""
-        return _streamed_digest(self._holders, self.start, self.window_days)
+        """The dataset SHA-256, fed one shard member at a time (bounded
+        memory) into :func:`~repro.obs.manifest.digest_stream`."""
+
+        def parts(index: int, kind: str, dtype: str) -> Iterator[memoryview]:
+            for shard in self._holders[index]:
+                name = shard.member(kind, index)
+                column = shard.reader().array(name)
+                if column.dtype.str != dtype:
+                    raise DatasetError(
+                        f"bad column dtype in shard {shard.path}: "
+                        f"{name} is {column.dtype.str}, expected {dtype}"
+                    )
+                yield np.ascontiguousarray(column).data
+
+        columns = (
+            (dtype, int(size), parts(index, kind, dtype))
+            for index, size in enumerate(self.active_counts())
+            for kind, dtype in (("ips", "<u4"), ("hits", "<u8"))
+        )
+        try:
+            return digest_stream(self.start, self.window_days, len(self), columns)
+        finally:
+            self.close()  # the readers opened here, even on an error
 
     def verify(self) -> None:
         """Re-hash every shard file against its manifest fingerprint."""
@@ -894,7 +877,6 @@ class DatasetStore:
             num_snapshots = int(payload["num_snapshots"])
             shard_blocks = int(payload["shard_blocks"])
             num_blocks = int(payload["num_blocks"])
-            dataset_sha256 = str(payload["dataset_sha256"])
             shard_entries = list(payload["shards"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(
@@ -930,7 +912,6 @@ class DatasetStore:
             num_snapshots=num_snapshots,
             shard_blocks=shard_blocks,
             num_blocks=num_blocks,
-            dataset_sha256=dataset_sha256,
             shards=shards,
             block_bases=block_bases,
         )
@@ -1111,10 +1092,9 @@ class StoreWriter:
 
     Shards are added one at a time in ascending /24 base order; each
     :meth:`add_shard` validates its columns and writes one raw-member
-    ``.npz`` atomically.  :meth:`finalize` computes the streaming
-    dataset digest and writes the manifest — which is deleted up front,
-    so a crash mid-build leaves "no store here" rather than a manifest
-    pointing at half-rewritten shards.
+    ``.npz`` atomically.  :meth:`finalize` writes the manifest — which
+    is deleted up front, so a crash mid-build leaves "no store here"
+    rather than a manifest pointing at half-rewritten shards.
     """
 
     def __init__(
@@ -1255,17 +1235,10 @@ class StoreWriter:
         return info
 
     def finalize(self) -> DatasetStore:
-        """Digest the shards, write the manifest, return the open store."""
+        """Write the manifest and return the open store."""
         if self._finalized:
             raise DatasetError("store already finalized")
         self._finalized = True
-        shards = [
-            StoreShard(self._root, info, range(self._num_snapshots))
-            for info in self._infos
-        ]
-        dataset_sha256 = _streamed_digest(
-            [shards] * self._num_snapshots, self._start, self._window_days
-        )
         payload = {
             "schema": STORE_FORMAT_VERSION,
             "start_ordinal": self._start.toordinal(),
@@ -1273,7 +1246,6 @@ class StoreWriter:
             "num_snapshots": self._num_snapshots,
             "shard_blocks": self._shard_blocks,
             "num_blocks": self._next_block,
-            "dataset_sha256": dataset_sha256,
             "shards": [info.as_dict() for info in self._infos],
         }
         atomic_write_text(store_manifest_path(self._root), _manifest_text(payload))
@@ -1285,8 +1257,10 @@ class StoreWriter:
             num_snapshots=self._num_snapshots,
             shard_blocks=self._shard_blocks,
             num_blocks=self._next_block,
-            dataset_sha256=dataset_sha256,
-            shards=shards,
+            shards=[
+                StoreShard(self._root, info, range(self._num_snapshots))
+                for info in self._infos
+            ],
         )
 
 
@@ -1314,11 +1288,12 @@ class StoreAppender:
     :meth:`append` writes interval ``k+1`` once, as a one-snapshot store
     through :class:`StoreWriter` (the interval's own /24s in one shard
     file), then atomically replaces the root manifest — the committed
-    interval files, named relative to the root, the /24 union, and the
-    dataset SHA-256.  Nothing under the root is ever deleted, and
-    committed interval files are never rewritten, so a tick writes
-    O(interval) bytes; it still reads every committed column once, for
-    the dataset digest, whose header carries the snapshot count.  The
+    interval files, named relative to the root, with their SHA-256s,
+    and the /24 union.  Nothing under the root is ever deleted, and
+    committed interval files are never rewritten or read back, so a
+    tick writes and reads O(interval) bytes: the only file it reads is
+    the shard it just wrote, to fingerprint it.  The dataset SHA-256 is
+    not part of a commit; it is computed when asked for.  The
     manifest replace is the *only* commit point: a crash at any instant
     leaves ``k`` or ``k+1`` intervals committed — never a torn store —
     and a restarted service replays the missed interval, rewriting its
@@ -1445,19 +1420,15 @@ class StoreAppender:
         )
         if created:
             _fsync_directory(intervals)
-        if bases.size:
-            writer.add_shard(bases, [(ips, hits)])
-        written = writer.finalize()
+        infos = [writer.add_shard(bases, [(ips, hits)])] if bases.size else []
+        writer.finalize()
         return [
             StoreShard(
                 self._root,
-                replace(
-                    shard.info,
-                    name=interval_shard_name(interval, shard.info.block_stop),
-                ),
+                replace(info, name=interval_shard_name(interval, info.block_stop)),
                 range(interval - 1, interval),
             )
-            for shard in written.shards
+            for info in infos
         ]
 
     def append(self, ips: NDArray[Any], hits: NDArray[Any]) -> DatasetStore:
@@ -1482,11 +1453,9 @@ class StoreAppender:
             num_snapshots=interval,
             shard_blocks=self._shard_blocks,
             num_blocks=int(bases.size),
-            dataset_sha256="",
             shards=([] if prev is None else prev.shards) + added,
             block_bases=bases,
         )
-        store.dataset_sha256 = store.digest()
         payload = {
             "schema": INTERVAL_FORMAT_VERSION,
             "start_ordinal": self._start.toordinal(),
@@ -1494,7 +1463,6 @@ class StoreAppender:
             "num_snapshots": interval,
             "shard_blocks": self._shard_blocks,
             "num_blocks": int(bases.size),
-            "dataset_sha256": store.dataset_sha256,
             "block_bases": [int(base) for base in bases],
             "shards": [
                 {**shard.info.as_dict(), "snapshot": shard.snapshots.start}

@@ -22,10 +22,12 @@ beside a complete dataset.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import os
 import platform
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -41,6 +43,28 @@ if TYPE_CHECKING:  # runtime import would be circular (core.io uses obs)
 MANIFEST_SCHEMA_VERSION = 1
 
 
+def digest_stream(
+    start: datetime.date,
+    window_days: int,
+    num_snapshots: int,
+    columns: Iterable[tuple[str, int, Iterable[Any]]],
+) -> str:
+    """The one definition of the dataset SHA-256's byte stream.
+
+    The header ``v1|<start ordinal>|<window days>|<snapshots>``, then,
+    per snapshot, its ``ips`` and ``hits`` columns: each a
+    ``|<dtype>|<size>|`` prefix and the buffers of its parts, hashed as
+    they are drawn, so a store feeds a column one shard at a time.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"v1|{start.toordinal()}|{window_days}|{num_snapshots}".encode())
+    for dtype, size, parts in columns:
+        digest.update(f"|{dtype}|{size}|".encode())
+        for part in parts:
+            digest.update(part)
+    return digest.hexdigest()
+
+
 def dataset_digest(dataset: "ActivityDataset") -> str:
     """SHA-256 of a dataset's header and every snapshot column.
 
@@ -49,16 +73,15 @@ def dataset_digest(dataset: "ActivityDataset") -> str:
     digest iff they are bit-identical — the equality the golden-run
     regression test and the observability acceptance test pin down.
     """
-    digest = hashlib.sha256()
-    digest.update(
-        f"v1|{dataset.start.toordinal()}|{dataset.window_days}|{len(dataset)}".encode()
+    arrays = (
+        np.ascontiguousarray(column)
+        for snapshot in dataset
+        for column in (snapshot.ips, snapshot.hits)
     )
-    for snapshot in dataset:
-        for column in (snapshot.ips, snapshot.hits):
-            array = np.ascontiguousarray(column)
-            digest.update(f"|{array.dtype.str}|{array.size}|".encode())
-            digest.update(array.tobytes())
-    return digest.hexdigest()
+    return digest_stream(
+        dataset.start, dataset.window_days, len(dataset),
+        ((array.dtype.str, array.size, (array.data,)) for array in arrays),
+    )
 
 
 @dataclass
@@ -125,9 +148,8 @@ def build_manifest(
     The run-identity fields come from ``ctx.info`` (recorded by the
     collection engine); passing the collected *dataset* additionally
     stamps its SHA-256 digest.  When the dataset was never materialized
-    — an out-of-core store run — pass *dataset_sha256* directly: the
-    store's streamed digest hashes the identical byte stream, so the
-    manifest field is comparable across both layouts.
+    — an out-of-core store run — pass the store's *dataset_sha256*: one
+    :func:`digest_stream`, so comparable across both layouts.
     """
     import repro
 

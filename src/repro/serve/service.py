@@ -13,7 +13,9 @@ serve``.  Each tick it:
    (:class:`~repro.core.metrics.IncrementalBlockMetrics`,
    :class:`~repro.core.churn.IncrementalChurn`) — batch twins stay the
    reference spec;
-4. rewrites the rolling run manifest and routing RIB beside the store;
+4. rewrites the rolling run manifest beside the store; its dataset
+   SHA-256 (``null`` until then) and the routing RIB are written by
+   the tick that completes the horizon, as both grow with history;
 5. publishes a rendered metrics snapshot for the scrape endpoint (the
    live :class:`~repro.obs.context.ObsContext` is not thread-safe, so
    the HTTP thread only ever sees finished strings).
@@ -145,6 +147,8 @@ class ObservatoryService:
         self._replayed = 0
         self._appended = 0
         self._last_active = 0
+        #: The finished dataset's SHA-256, once the horizon completes.
+        self._dataset_sha256: str | None = None
         self._caught_up = self._appender.committed == 0
         self._ctx.info.update(
             seed=config.seed,
@@ -192,7 +196,6 @@ class ObservatoryService:
 
     def status(self) -> dict[str, Any]:
         """The ``/status`` snapshot (plain JSON-ready values)."""
-        store = self._appender.store
         return {
             "store_root": self._root,
             "committed": self.committed,
@@ -203,7 +206,7 @@ class ObservatoryService:
             "appended": self._appended,
             "last_interval_active": self._last_active,
             "addr_days": self._simulator.addr_days,
-            "dataset_sha256": None if store is None else store.dataset_sha256,
+            "dataset_sha256": self._dataset_sha256,
         }
 
     # -- internals ---------------------------------------------------------
@@ -236,16 +239,18 @@ class ObservatoryService:
         self._ctx.set_gauge("serve_complete", self.complete)
 
     def _write_artifacts(self, store: DatasetStore) -> None:
-        """Rolling manifest + RIB series covering the committed days."""
+        """The rolling manifest; the digest and RIB (O(history)) once complete."""
+        if self.complete:
+            self._dataset_sha256 = store.dataset_sha256
+            save_routing_series(
+                self._routing_path, RoutingSeries(list(self._routing.tables))
+            )
         manifest = build_manifest(
             self._ctx,
             dataset_path=self._root,
-            dataset_sha256=store.dataset_sha256,
+            dataset_sha256=self._dataset_sha256,
         )
         write_manifest(manifest_path_for(self._root), manifest)
-        save_routing_series(
-            self._routing_path, RoutingSeries(list(self._routing.tables))
-        )
 
     def _publish_snapshot(self) -> None:
         if self._publish is None:
@@ -315,8 +320,9 @@ class ObservatoryService:
 
         The service loop: already-committed intervals are replayed
         (never re-collected), then one interval is committed per tick,
-        pacing ``pace_seconds`` between ticks.  Idempotent on a
-        complete store — catch-up simply verifies it and returns.
+        pacing ``pace_seconds`` between ticks.  On a complete store,
+        catch-up verifies it and the final manifest and RIB are rewritten
+        (a crash after the last commit may have cut them short).
         """
         with obs_api.activate(self._ctx):
             self.catch_up()
@@ -328,7 +334,10 @@ class ObservatoryService:
                     time.sleep(self._pace_seconds)
                 self.run_one_interval()
                 appended += 1
-        store = self._appender.store
+            store = self._appender.store
+            if appended == 0 and self.complete and store is not None:
+                self._write_artifacts(store)
+                self._publish_snapshot()
         return ServeReport(
             committed=self.committed,
             total=self.total_intervals,
@@ -338,11 +347,7 @@ class ObservatoryService:
             manifest_path=(
                 manifest_path_for(self._root) if store is not None else None
             ),
-            routing_path=(
-                self._routing_path
-                if os.path.exists(self._routing_path)
-                else None
-            ),
+            routing_path=self._routing_path if self._dataset_sha256 else None,
             complete=self.complete,
         )
 

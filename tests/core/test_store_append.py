@@ -14,11 +14,13 @@ manifest of interval files, or earlier a complete store) have no
 reader; appending to one is refused before anything under it changes.
 """
 
+import contextlib
 import datetime
 import glob
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +359,37 @@ class TestColumnSlice:
             assert store.num_blocks == 4
 
 
+#: Paths the running :func:`recorded_reads` block collects into.
+_READS = None
+
+
+def _audit_reads(event, args):
+    if event != "open" or _READS is None:
+        return
+    path, _mode, flags = args
+    if (
+        isinstance(path, (str, bytes, os.PathLike))
+        and flags & os.O_ACCMODE == os.O_RDONLY
+        and not os.path.isdir(path)
+    ):
+        _READS.append(os.path.realpath(path))
+
+
+@contextlib.contextmanager
+def recorded_reads():
+    """Every file opened read-only inside the block (an audit hook, so
+    numpy's and zipfile's opens count as well as ``open``'s)."""
+    global _READS
+    if not getattr(recorded_reads, "hooked", False):
+        sys.addaudithook(_audit_reads)
+        recorded_reads.hooked = True
+    _READS = reads = []
+    try:
+        yield reads
+    finally:
+        _READS = None
+
+
 def interval_files(root, pattern="shard_*.npz"):
     return sorted(glob.glob(os.path.join(root, "intervals", "*", pattern)))
 
@@ -403,6 +436,23 @@ class TestIntervalLayout:
         # One interval's bytes per append, whatever the history length
         # (manifests differ only in the digits of their address ranges).
         assert max(written) - min(written) <= 8
+
+    def test_a_tick_reads_only_what_it_wrote(self, tmp_path):
+        # After k appends, append k+1 reads back only the interval it
+        # writes (to fingerprint its shard): no committed column, no
+        # earlier manifest, so a tick's reads do not grow with history.
+        root = tmp_path / "live"
+        columns = columns_of(self.steady_dataset(days=6))
+        with StoreAppender(root, start=DAY0, window_days=1, shard_blocks=2) as app:
+            for ips, hits in columns[:3]:
+                app.append(ips, hits)
+            for interval, (ips, hits) in enumerate(columns[3:], start=4):
+                with recorded_reads() as reads:
+                    app.append(ips, hits)
+                own = os.path.realpath(root / "intervals" / f"{interval:06d}")
+                assert reads
+                for path in reads:
+                    assert os.path.commonpath([path, own]) == own, path
 
     def test_missing_interval_file_is_named(self, tmp_path):
         root = str(tmp_path / "live")

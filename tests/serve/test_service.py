@@ -185,6 +185,11 @@ class TestArtifacts:
 
     def test_partial_run_publishes_live_metrics(self, tmp_path):
         root = tmp_path / "live"
+
+        def scrape(endpoint, path):
+            with urllib.request.urlopen(endpoint.url + path, timeout=5) as response:
+                return response.read().decode()
+
         with MetricsEndpoint() as endpoint:
             with ObservatoryService(
                 CONFIG,
@@ -194,14 +199,13 @@ class TestArtifacts:
                 publish=endpoint.publish,
             ) as service:
                 service.run(max_intervals=2)
-                with urllib.request.urlopen(
-                    endpoint.url + "/metrics", timeout=5
-                ) as response:
-                    body = response.read().decode()
-                with urllib.request.urlopen(
-                    endpoint.url + "/status", timeout=5
-                ) as response:
-                    status = json.load(response)
+                body = scrape(endpoint, "/metrics")
+                status = json.loads(scrape(endpoint, "/status"))
+                partial = load_manifest(manifest_path_for(root))
+                partial_rib = (root / "routing.rib.txt").exists()
+                while not service.complete:
+                    service.run_one_interval()
+                final_status = json.loads(scrape(endpoint, "/status"))
         assert "repro_serve_intervals_committed_total 2" in body
         # The exporter renders bool gauges as 1/0 (regression: they
         # used to print as "True"/"False", which Prometheus rejects).
@@ -209,7 +213,49 @@ class TestArtifacts:
         assert "True" not in body and "False" not in body
         assert status["committed"] == 2
         assert status["complete"] is False
-        assert status["dataset_sha256"]
+        # The dataset digest covers the whole history, so a tick does
+        # not compute it: it is published once the horizon completes.
+        assert status["dataset_sha256"] is None
+        assert partial["dataset"]["sha256"] is None
+        assert not partial_rib
+        expected = dataset_digest(batch_result().dataset)
+        assert final_status["complete"] is True
+        assert final_status["dataset_sha256"] == expected
+        final = load_manifest(manifest_path_for(root))
+        assert final["dataset"]["sha256"] == expected
+
+    def test_restart_after_final_commit_writes_final_artifacts(self, tmp_path):
+        # A crash after the last interval's commit, before the tick
+        # wrote its manifest and RIB: the restart appends nothing, and
+        # must still leave the finished digest and the whole RIB.
+        from repro.core.io import save_routing_series
+
+        root = tmp_path / "live"
+
+        class Bomb(Exception):
+            pass
+
+        def hook(interval, at_phase):
+            if interval == NUM_DAYS and at_phase == COMMIT_PHASE_COMMITTED:
+                raise Bomb
+
+        with ObservatoryService(
+            CONFIG, num_days=NUM_DAYS, window_days=1, store_root=root,
+            commit_hook=hook,
+        ) as crashed:
+            with pytest.raises(Bomb):
+                crashed.run()
+        _, report = serve_to_completion(root)
+        assert (report.replayed, report.appended) == (NUM_DAYS, 0)
+        batch = batch_result()
+        expected = dataset_digest(batch.dataset)
+        assert report.dataset_sha256 == expected
+        manifest = load_manifest(manifest_path_for(root))
+        assert manifest["dataset"]["sha256"] == expected
+        save_routing_series(tmp_path / "batch.rib.txt", batch.routing)
+        assert report.routing_path is not None
+        with open(report.routing_path) as handle:
+            assert handle.read() == (tmp_path / "batch.rib.txt").read_text()
 
 
 class TestCLI:

@@ -281,6 +281,32 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "nonsense", str(stored_world) + ".npz"])
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty-dir", "missing store.manifest.json"),
+            ("retired-root", "missing store.manifest.json"),
+            ("corrupt-npz", "corrupt"),
+        ],
+    )
+    def test_unreadable_dataset_is_one_stderr_line(
+        self, tmp_path, capsys, case, message
+    ):
+        # A path that holds no readable dataset exits 1 with one line
+        # naming it, never a traceback.
+        target = tmp_path / "data"
+        if case == "corrupt-npz":
+            target = tmp_path / "data.npz"
+            target.write_bytes(b"PK\x03\x04 not a zip archive")
+        else:
+            target.mkdir()
+            if case == "retired-root":
+                (target / "live.json").write_text('{"schema": 1, "generation": 1}')
+        assert main(["analyze", "metrics", str(target)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro analyze: "), err
+        assert message in err[0] and str(target) in err[0]
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
