@@ -13,18 +13,14 @@ The headline findings these functions reproduce:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
-from repro.core.windows import (
-    PAPER_WINDOW_SIZES,
-    aggregate_to_window,
-    usable_window_sizes,
-)
+from repro.core.windows import PAPER_WINDOW_SIZES, usable_window_sizes
 from repro.errors import DatasetError
 from repro.obs import context as obs
 
@@ -102,21 +98,44 @@ def transition_churn(dataset: ActivityDataset) -> list[TransitionChurn]:
     """Churn for every consecutive window pair of *dataset*."""
     if len(dataset) < 2:
         raise DatasetError("need at least two windows to measure churn")
-    out = []
     with obs.span("analyze/churn/transitions"):
-        for before, after in zip(dataset.snapshots, dataset.snapshots[1:]):
-            ups = after.up_from(before)
-            downs = before.down_to(after)
-            out.append(
-                TransitionChurn(
-                    up_count=int(ups.size),
-                    down_count=int(downs.size),
-                    active_before=before.num_active,
-                    active_after=after.num_active,
-                )
-            )
+        out = _window_transitions(*_index_columns(dataset), 1)
         obs.add("analyze_churn_transitions_total", len(out))
     return out
+
+
+def _window_transitions(
+    columns: Sequence[np.ndarray], map_size: int, size: int
+) -> list[TransitionChurn]:
+    """Churn between consecutive windows of *size* columns, in order.
+
+    Each column holds its addresses' slots in a presence map of
+    *map_size* entries.  A window's map is the OR of its columns' slots
+    (a partial trailing window is dropped, as in
+    :func:`~repro.core.windows.aggregate_to_window`), and two
+    consecutive maps hold their windows' overlap as one AND-and-count.
+    """
+    out: list[TransitionChurn] = []
+    before: np.ndarray | None = None
+    before_count = 0
+    for window in range(len(columns) // size):
+        after = np.zeros(map_size, dtype=bool)
+        for slots in columns[window * size : (window + 1) * size]:
+            after[slots] = True
+        after_count = int(np.count_nonzero(after))
+        if before is not None:
+            both = int(np.count_nonzero(before & after))
+            out.append(
+                TransitionChurn(after_count - both, before_count - both, before_count, after_count)
+            )
+        before, before_count = after, after_count
+    return out
+
+
+def _index_columns(dataset: ActivityDataset) -> tuple[list[np.ndarray], int]:
+    """Each window's positions in the shared index's union, and its size."""
+    index = dataset.index
+    return [index.snapshot_positions(w) for w in range(len(dataset))], index.all_ips.size
 
 
 def daily_churn(dataset: ActivityDataset) -> ChurnSummary:
@@ -141,7 +160,9 @@ def churn_by_window_size(
 
     For every window size, the daily dataset is partitioned into
     non-overlapping unions and churn measured between consecutive
-    windows; the caller typically plots min/median/max per size.
+    windows; the caller typically plots min/median/max per size.  The
+    unions are presence maps over the shared index's union, built from
+    the daily positions, so no window is aggregated or re-indexed.
 
     Window sizes that leave fewer than two windows (no transition to
     measure) are filtered out, whether the sizes came from the default
@@ -166,11 +187,12 @@ def churn_by_window_size(
             f"no usable window sizes in {list(candidates)}: every size leaves "
             f"fewer than two windows over {len(dataset)} days"
         )
-    out: dict[int, ChurnSummary] = {}
-    for size in sizes:
-        windowed = aggregate_to_window(dataset, size)
-        out[size] = ChurnSummary(size, tuple(transition_churn(windowed)))
-    return out
+    with obs.span("analyze/churn/window_sweep"):
+        columns, map_size = _index_columns(dataset)
+        return {
+            size: ChurnSummary(size, tuple(_window_transitions(columns, map_size, size)))
+            for size in sizes
+        }
 
 
 def _sum_transitions(
@@ -218,40 +240,26 @@ def daily_churn_streamed(store: "DatasetStore") -> ChurnSummary:
     return ChurnSummary(1, tuple(transition_churn_streamed(store)))
 
 
-class _WindowUnions:
-    """Sorted address unions of windows of consecutive daily columns.
+def _block_slots(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Each column's addresses as slots in a presence map over its /24s.
 
-    Addresses only — hits play no part in churn.  Each column's
-    addresses become slots in a presence map over the columns' /24s
-    (one row of 256 per /24, rows in address order), computed once; a
-    window's union is the OR of its days' slots, read back in slot
-    order, which is address order.  One scatter per day and one scan
-    of the map per window, instead of a sorted k-way merge of
-    addresses and hits.
+    Addresses only — hits play no part in churn.  The map has one row
+    of 256 slots per /24 active in any column, rows in address order,
+    so it is bounded by one address range's blocks and built without
+    sorting addresses; returns the slots and the map size.
     """
-
-    def __init__(self, columns: Sequence[np.ndarray]) -> None:
-        mask = np.uint32(0xFFFFFF00)
-        nonempty = [ips & mask for ips in columns if ips.size]
-        self._blocks = (
-            np.unique(np.concatenate(nonempty))  # O(active /24s of the columns)
-            if nonempty
-            else np.empty(0, dtype=np.uint32)
-        )
-        self._slots = [
-            np.searchsorted(self._blocks, ips & mask) * 256
-            + (ips & np.uint32(0xFF))
-            for ips in columns
-        ]
-
-    def windows(self, size: int) -> Iterator[np.ndarray]:
-        """The union of each full window of *size* columns, in order."""
-        for window in range(len(self._slots) // size):
-            present = np.zeros(self._blocks.size * 256, dtype=bool)
-            for day_slots in self._slots[window * size : (window + 1) * size]:
-                present[day_slots] = True
-            flat = np.flatnonzero(present)
-            yield (self._blocks[flat >> 8] + (flat & 0xFF)).astype(np.uint32)
+    mask = np.uint32(0xFFFFFF00)
+    nonempty = [ips & mask for ips in columns if ips.size]
+    blocks = (
+        np.unique(np.concatenate(nonempty))  # O(active /24s of the columns)
+        if nonempty
+        else np.empty(0, dtype=np.uint32)
+    )
+    slots = [
+        np.searchsorted(blocks, ips & mask) * 256 + (ips & np.uint32(0xFF))
+        for ips in columns
+    ]
+    return slots, blocks.size * 256
 
 
 def churn_by_window_size_streamed(
@@ -260,12 +268,12 @@ def churn_by_window_size_streamed(
     """Streamed equivalent of :func:`churn_by_window_size` over a store.
 
     Same filtering, truncation, and error contract as the in-memory
-    sweep.  Per address range, every window size's address unions are
+    sweep.  Per address range, every window size's presence maps are
     built from that range's daily columns (bounded by one range's
-    data, see :class:`_WindowUnions`) and folded by a fresh
-    :class:`IncrementalChurn`; window unions restricted to disjoint
-    address ranges partition the full window union, so the per-range
-    counts sum to the reference exactly.
+    data, see :func:`_block_slots`) and consecutive maps counted
+    against each other; window unions restricted to disjoint address
+    ranges partition the full window union, so the per-range counts
+    sum to the reference exactly.
     """
     if store.window_days != 1:
         raise DatasetError("the window-size sweep expects a daily dataset")
@@ -286,14 +294,11 @@ def churn_by_window_size_streamed(
     per_shard: dict[int, list[list[TransitionChurn]]] = {size: [] for size in sizes}
     with obs.span("analyze/churn/window_sweep_streamed"):
         for shard in store.iter_shards():
-            unions = _WindowUnions(
+            slots, map_size = _block_slots(
                 [shard.columns(position)[0] for position in range(num_days)]
             )
             for size in sizes:
-                fold = IncrementalChurn()
-                for union in unions.windows(size):
-                    fold.update(union)
-                per_shard[size].append(fold.transitions())
+                per_shard[size].append(_window_transitions(slots, map_size, size))
     return {
         size: ChurnSummary(
             size, tuple(_sum_transitions(per_shard[size], num_days // size - 1))
@@ -307,7 +312,7 @@ class IncrementalChurn:
 
     The one fold behind both out-of-core paths: the live-observatory
     service feeds it one interval per scheduler tick, and the streamed
-    functions above feed a fresh one per store shard.  Each
+    transitions above feed a fresh one per store shard.  Each
     :meth:`update` counts one new window column against the previously
     appended one.  Columns are sorted unique ``uint32`` arrays (every
     snapshot's shape), so one binary search of the new column into the

@@ -8,7 +8,10 @@ side: given only an :class:`~repro.core.dataset.ActivityDataset`, it
 localizes each injected event to within one window, with no access to
 the timeline that produced the data.
 
-Three per-block (/24) channels, all derived from the activity matrix:
+Three per-block (/24) channels, all read in one pass over the
+dataset's shared :class:`~repro.core.index.DatasetIndex` (its /24
+bases and per-window union positions, the same index the metrics and
+change analyses use):
 
 - **active** — distinct active addresses per window.  A step change
   (first difference beyond a robust threshold) marks an
@@ -18,8 +21,11 @@ Three per-block (/24) channels, all derived from the activity matrix:
   threshold *without* an active-count step marks a ``surge`` or
   ``quiet`` demand change: lockdown start/end.
 - **churn** — the symmetric-difference fraction of the block's
-  address set between consecutive windows.  An outlier above the
-  block's own baseline marks a ``churn`` spike: renumbering.
+  address set between consecutive windows, from one overlap count: a
+  presence mask over the union holds the previous window, and the
+  current window's positions that hit it, counted per /24, are the
+  intersection.  An outlier above the block's own baseline marks a
+  ``churn`` spike: renumbering.
 
 Robustness choices worth knowing:
 
@@ -55,13 +61,6 @@ from repro.core.dataset import ActivityDataset
 from repro.core.metrics import compute_block_metrics
 from repro.net.ipv4 import format_ip
 from repro.obs import context as obs
-
-#: Mask selecting the /24 base of an IPv4 address.
-BLOCK_MASK = np.uint32(0xFFFFFF00)
-
-#: Addresses per /24 block — bound for the per-block slice searches.
-_BLOCK_SPAN = 256
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -122,43 +121,37 @@ class _BlockSeries:
 
 
 def _block_series(dataset: ActivityDataset) -> _BlockSeries:
-    """Active/hits/churn matrices over the union of observed /24s."""
-    num_windows = len(dataset)
-    parts = [snap.ips & BLOCK_MASK for snap in dataset.snapshots]
-    nonempty = [part for part in parts if part.size]
-    if not nonempty:
-        empty = np.zeros((0, num_windows), dtype=np.float64)
-        return _BlockSeries(
-            np.empty(0, dtype=np.uint64), empty, empty.copy(), empty.copy()
-        )
-    bases = np.unique(np.concatenate(nonempty)).astype(np.uint64)
-    active = np.zeros((bases.size, num_windows), dtype=np.float64)
+    """Active/hits/churn matrices over the dataset index's /24s.
+
+    ``present`` marks the previous window's union positions, so the
+    addresses a window shares with it are ``present[positions]``.
+    """
+    index = dataset.index
+    num_blocks = index.block_bases.size
+    active = np.zeros((num_blocks, len(dataset)), dtype=np.float64)
     hits = np.zeros_like(active)
     churn = np.zeros_like(active)
-    prev_slices: list[NDArray[Any]] | None = None
-    for window, (snap, ip_bases) in enumerate(zip(dataset.snapshots, parts)):
-        idx = np.searchsorted(bases, ip_bases.astype(np.uint64))
-        active[:, window] = np.bincount(idx, minlength=bases.size)
+    present = np.zeros(index.all_ips.size, dtype=bool)
+    previous = np.empty(0, dtype=np.int64)
+    previous_count = np.zeros(num_blocks, dtype=np.int64)
+    for window, snap in enumerate(dataset.snapshots):
+        positions = index.snapshot_positions(window)
+        block_idx = index.ip_block_index[positions]
+        count = np.bincount(block_idx, minlength=num_blocks)
+        active[:, window] = count
+        # Summed in snapshot order, as the hit column is stored.
         hits[:, window] = np.bincount(
-            idx, weights=snap.hits.astype(np.float64), minlength=bases.size
+            block_idx, weights=snap.hits.astype(np.float64), minlength=num_blocks
         )
-        lo = np.searchsorted(snap.ips, bases)
-        hi = np.searchsorted(snap.ips, bases + _BLOCK_SPAN)
-        cur_slices = [
-            snap.ips[lo[b] : hi[b]] for b in range(bases.size)
-        ]
-        if prev_slices is not None:
-            for b in range(bases.size):
-                before, after = prev_slices[b], cur_slices[b]
-                if not before.size and not after.size:
-                    continue
-                inter = np.intersect1d(
-                    before, after, assume_unique=True
-                ).size
-                union = before.size + after.size - inter
-                churn[b, window] = (union - inter) / union
-        prev_slices = cur_slices
-    return _BlockSeries(bases, active, hits, churn)
+        if window:
+            inter = np.bincount(block_idx[present[positions]], minlength=num_blocks)
+            union = previous_count + count - inter
+            seen = union > 0
+            churn[seen, window] = (union[seen] - inter[seen]) / union[seen]
+        present[previous] = False
+        present[positions] = True
+        previous, previous_count = positions, count
+    return _BlockSeries(index.block_bases.astype(np.uint64), active, hits, churn)
 
 
 def _weekday_classes(dataset: ActivityDataset) -> NDArray[Any]:
@@ -281,31 +274,24 @@ def detect_events(
         churn_flag = _churn_flags(
             series.churn, transitions, config.min_churn, config.mad_k
         )
+        # The active step explains the hit and churn moves at its
+        # (block, window): report the root cause only.
+        calm = ~active_flag
+        channels = (
+            (active_flag, active_d, "deactivation", "activation"),
+            (hits_flag & calm, hits_d, "quiet", "surge"),
+            (churn_flag[:, 1:] & calm, series.churn[:, 1:], "churn", "churn"),
+        )
+        block_bases = series.bases.tolist()
         grouped: dict[tuple[int, str], list[tuple[int, float]]] = {}
-        for b in range(series.bases.size):
-            base = int(series.bases[b])
-            for window in range(1, len(dataset)):
-                i = window - 1
-                if active_flag[b, i]:
-                    kind = (
-                        "activation" if active_d[b, i] > 0 else "deactivation"
-                    )
-                    grouped.setdefault((window, kind), []).append(
-                        (base, abs(float(active_d[b, i])))
-                    )
-                    # The active step explains the hit and churn moves
-                    # at this (block, window): report the root cause
-                    # only.
-                    continue
-                if hits_flag[b, i]:
-                    kind = "surge" if hits_d[b, i] > 0 else "quiet"
-                    grouped.setdefault((window, kind), []).append(
-                        (base, abs(float(hits_d[b, i])))
-                    )
-                if churn_flag[b, window]:
-                    grouped.setdefault((window, "churn"), []).append(
-                        (base, float(series.churn[b, window]))
-                    )
+        for flags, values, down, up in channels:
+            # Row-major: ascending block within each (window, kind).
+            for b, i in zip(*np.nonzero(flags)):
+                value = float(values[b, i])
+                kind = up if value > 0 else down
+                grouped.setdefault((int(i) + 1, kind), []).append(
+                    (block_bases[b], abs(value))
+                )
         events = []
         for (window, kind), members in sorted(grouped.items()):
             if len(members) < config.min_blocks:

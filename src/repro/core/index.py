@@ -5,9 +5,12 @@ arrays: the sorted union of ever-active addresses (Table 1 totals),
 the position of each snapshot's addresses inside that union (the
 ``searchsorted`` projection behind churn, traffic, and per-AS views),
 per-address activity summaries (Fig. 9), and the /24 block keys with
-their per-snapshot scatter indices (Figs. 6–8).  Before this module
-existed each figure recomputed those from scratch; on a multi-million
-address dataset the union step alone dominated every analysis pass.
+their per-snapshot scatter indices (Figs. 6–8).  Event detection
+(:mod:`repro.core.detect`) and churn (:mod:`repro.core.churn`,
+Figs. 4a/4b) count consecutive-window overlaps as presence masks over
+the same positions.  Before this module existed each figure
+recomputed those from scratch; on a multi-million address dataset
+the union step alone dominated every analysis pass.
 
 :class:`DatasetIndex` computes each of these layers lazily, exactly
 once, and memoizes the result.  Memoization is safe because

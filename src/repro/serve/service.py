@@ -275,7 +275,9 @@ class ObservatoryService:
         committed = self._appender.committed
         store = self._appender.store
         self._simulator.replay_through(committed)
-        for interval in range(self._replayed + 1, committed + 1):
+        # Every interval folded so far, replayed or appended by this
+        # service, is already past: a repeated call starts after them.
+        for interval in range(self._replayed + self._appended + 1, committed + 1):
             ips, hits = self._next_column()
             assert store is not None
             stored_ips, stored_hits = store.column_slice(interval - 1, 0, 2**32 - 1)

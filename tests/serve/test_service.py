@@ -145,6 +145,31 @@ class TestConvergence:
         assert second.replayed == NUM_DAYS
         assert second.dataset_sha256 == first.dataset_sha256
 
+    @pytest.mark.parametrize("restarted_after", [0, 2])
+    def test_second_run_resumes_after_its_own_intervals(self, tmp_path, restarted_after):
+        # run(max_intervals=2) then run() on one service, optionally a
+        # service that replayed a store first, ends where one run() does.
+        whole, whole_report = serve_to_completion(tmp_path / "whole")
+        root = tmp_path / "split"
+        if restarted_after:
+            with ObservatoryService(
+                CONFIG, num_days=NUM_DAYS, window_days=1, store_root=root
+            ) as first:
+                first.run(max_intervals=restarted_after)
+        with ObservatoryService(
+            CONFIG, num_days=NUM_DAYS, window_days=1, store_root=root
+        ) as service:
+            service.run(max_intervals=2)
+            report = service.run()
+        assert report.complete
+        assert report.replayed == restarted_after
+        assert report.appended == NUM_DAYS - restarted_after
+        assert report.dataset_sha256 == whole_report.dataset_sha256
+        ours, theirs = service.block_metrics(), whole.block_metrics()
+        for name in ("bases", "filling_degree", "stu"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert service.churn_transitions() == whole.churn_transitions()
+
     def test_replay_verification_catches_foreign_store(self, tmp_path):
         root = tmp_path / "live"
         other = SimulationConfig(
