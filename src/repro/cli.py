@@ -50,6 +50,7 @@ from repro.core.io import (
     open_store,
     save_dataset,
     save_routing_series,
+    save_store,
 )
 from repro.core.store import COMMIT_PHASE_COMMITTED, COMMIT_PHASE_WRITTEN
 from repro.obs import (
@@ -421,8 +422,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fault=fault,
         obs=ctx,
         progress=_ProgressPrinter() if args.progress else None,
-        store_dir=args.store_dir,
-        store_shard_blocks=args.store_shard_blocks,
     )
     try:
         if args.weekly:
@@ -437,33 +436,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # horizon, so e.g. an out-of-horizon event only surfaces here.
         print(str(error), file=sys.stderr)
         return 2
+    dataset = result.dataset
     routing_path = f"{args.out}.rib.txt"
-    if result.store is not None:
-        store = result.store
-        dataset_path = store.root
-        with obs_api.activate(ctx):
-            save_routing_series(routing_path, result.routing)
-        manifest = build_manifest(
-            ctx, dataset_path=dataset_path, dataset_sha256=store.dataset_sha256
-        )
-        dataset_line = (
-            f"store: {dataset_path} ({len(store)} x {store.window_days}d "
-            f"snapshots, {store.num_blocks} /24 blocks in "
-            f"{len(store.shards)} shards)"
-        )
-    else:
-        dataset_path = f"{args.out}.npz"
-        with obs_api.activate(ctx):
-            save_dataset(dataset_path, result.dataset, compress=not args.no_compress)
-            save_routing_series(routing_path, result.routing)
-        manifest = build_manifest(
-            ctx, dataset=result.dataset, dataset_path=dataset_path
-        )
-        dataset_line = (
-            f"dataset: {dataset_path} ({len(result.dataset)} x "
-            f"{result.dataset.window_days}d snapshots, "
-            f"{format_count(result.dataset.total_unique())} unique addresses)"
-        )
+    with obs_api.activate(ctx):
+        if args.store_dir is not None:
+            with save_store(
+                args.store_dir, dataset, args.store_shard_blocks
+            ) as store:
+                dataset_path = store.root
+                dataset_line = (
+                    f"store: {dataset_path} ({len(store)} x {store.window_days}d "
+                    f"snapshots, {store.num_blocks} /24 blocks in "
+                    f"{len(store.shards)} shards)"
+                )
+        else:
+            dataset_path = f"{args.out}.npz"
+            save_dataset(dataset_path, dataset, compress=not args.no_compress)
+            dataset_line = (
+                f"dataset: {dataset_path} ({len(dataset)} x "
+                f"{dataset.window_days}d snapshots, "
+                f"{format_count(dataset.total_unique())} unique addresses)"
+            )
+        save_routing_series(routing_path, result.routing)
+    manifest = build_manifest(ctx, dataset=dataset, dataset_path=dataset_path)
     manifest_path = manifest_path_for(dataset_path)
     write_manifest(manifest_path, manifest)
     _export_obs(ctx, args)

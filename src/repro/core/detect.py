@@ -255,61 +255,71 @@ def detect_events(
     ``min_blocks`` blocks agreeing on a change — the no-event
     baseline.
     """
-    if config is None:
-        config = DetectorConfig()
     if len(dataset) < 2:
         return []
     with obs.span("analyze/detect_events"):
-        series = _block_series(dataset)
-        transitions = _transition_types(_weekday_classes(dataset))
-        active_d, active_flag = _step_deltas(
-            series.active, transitions, config.min_active_delta, config.mad_k
-        )
-        hits_d, hits_flag = _step_deltas(
-            np.log1p(series.hits),
-            transitions,
-            config.min_log_ratio,
-            config.mad_k,
-        )
-        churn_flag = _churn_flags(
-            series.churn, transitions, config.min_churn, config.mad_k
-        )
-        # The active step explains the hit and churn moves at its
-        # (block, window): report the root cause only.
-        calm = ~active_flag
-        channels = (
-            (active_flag, active_d, "deactivation", "activation"),
-            (hits_flag & calm, hits_d, "quiet", "surge"),
-            (churn_flag[:, 1:] & calm, series.churn[:, 1:], "churn", "churn"),
-        )
-        block_bases = series.bases.tolist()
-        grouped: dict[tuple[int, str], list[tuple[int, float]]] = {}
-        for flags, values, down, up in channels:
-            # Row-major: ascending block within each (window, kind).
-            for b, i in zip(*np.nonzero(flags)):
-                value = float(values[b, i])
-                kind = up if value > 0 else down
-                grouped.setdefault((int(i) + 1, kind), []).append(
-                    (block_bases[b], abs(value))
-                )
-        events = []
-        for (window, kind), members in sorted(grouped.items()):
-            if len(members) < config.min_blocks:
-                continue
-            bases = tuple(base for base, _ in members)
-            magnitudes = np.array([mag for _, mag in members])
-            events.append(
-                DetectedEvent(
-                    window=window,
-                    kind=kind,
-                    num_blocks=len(members),
-                    first_base=bases[0],
-                    last_base=bases[-1],
-                    bases=bases,
-                    magnitude=float(np.median(magnitudes)),
-                )
-            )
+        events = _detect(dataset, _block_series(dataset), config)
         obs.add("analyze_detected_events_total", len(events))
+    return events
+
+
+def _detect(
+    dataset: ActivityDataset,
+    series: _BlockSeries,
+    config: DetectorConfig | None,
+) -> list[DetectedEvent]:
+    """:func:`detect_events` over the prebuilt *series* of *dataset*
+    (at least two windows), untraced."""
+    if config is None:
+        config = DetectorConfig()
+    transitions = _transition_types(_weekday_classes(dataset))
+    active_d, active_flag = _step_deltas(
+        series.active, transitions, config.min_active_delta, config.mad_k
+    )
+    hits_d, hits_flag = _step_deltas(
+        np.log1p(series.hits),
+        transitions,
+        config.min_log_ratio,
+        config.mad_k,
+    )
+    churn_flag = _churn_flags(
+        series.churn, transitions, config.min_churn, config.mad_k
+    )
+    # The active step explains the hit and churn moves at its
+    # (block, window): report the root cause only.
+    calm = ~active_flag
+    channels = (
+        (active_flag, active_d, "deactivation", "activation"),
+        (hits_flag & calm, hits_d, "quiet", "surge"),
+        (churn_flag[:, 1:] & calm, series.churn[:, 1:], "churn", "churn"),
+    )
+    block_bases = series.bases.tolist()
+    grouped: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    for flags, values, down, up in channels:
+        # Row-major: ascending block within each (window, kind).
+        for b, i in zip(*np.nonzero(flags)):
+            value = float(values[b, i])
+            kind = up if value > 0 else down
+            grouped.setdefault((int(i) + 1, kind), []).append(
+                (block_bases[b], abs(value))
+            )
+    events = []
+    for (window, kind), members in sorted(grouped.items()):
+        if len(members) < config.min_blocks:
+            continue
+        bases = tuple(base for base, _ in members)
+        magnitudes = np.array([mag for _, mag in members])
+        events.append(
+            DetectedEvent(
+                window=window,
+                kind=kind,
+                num_blocks=len(members),
+                first_base=bases[0],
+                last_base=bases[-1],
+                bases=bases,
+                magnitude=float(np.median(magnitudes)),
+            )
+        )
     return events
 
 
@@ -324,8 +334,8 @@ def scenario_signature(
     engine or scenario-compiler drift shows up as a signature diff.
     """
     metrics = compute_block_metrics(dataset)
-    events = detect_events(dataset, config)
     series = _block_series(dataset)
+    events = _detect(dataset, series, config) if len(dataset) >= 2 else []
     peak_window = 0
     peak_churn = 0.0
     if series.bases.size and len(dataset) >= 2:

@@ -539,7 +539,10 @@ def save_store(
     sliced by ``searchsorted`` on the shard's address range, so shard
     members are contiguous views of the legacy columns and the store's
     dataset SHA-256 equals :func:`repro.obs.manifest.dataset_digest` of
-    *dataset* exactly.
+    *dataset* exactly.  The /24 bases are the union of each snapshot's
+    own /24s, so saving never builds the dataset's
+    :class:`~repro.core.index.DatasetIndex` (its address union costs
+    more memory than the store write itself).
     """
     from repro.core.store import StoreWriter
 
@@ -551,8 +554,15 @@ def save_store(
             num_snapshots=len(dataset),
             shard_blocks=shard_blocks,
         )
-        bases = dataset.index.block_bases
         snapshots = list(dataset)
+        bases = np.unique(
+            np.concatenate(
+                [
+                    np.unique(snapshot.ips & np.uint32(0xFFFFFF00))
+                    for snapshot in snapshots
+                ]
+            )
+        )
         for chunk_start in range(0, int(bases.size), shard_blocks):
             chunk = bases[chunk_start : chunk_start + shard_blocks]
             lo = int(chunk[0])

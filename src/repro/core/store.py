@@ -918,7 +918,10 @@ class DatasetStore:
 
 
 def _manifest_text(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # Compact separators keep json on its C encoder (indent= falls back
+    # to the pure-Python one): the live root manifest is re-encoded on
+    # every tick and grows a row per interval.
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def _file_sha256(path: str) -> tuple[str, int]:

@@ -148,7 +148,7 @@ def build_manifest(
     The run-identity fields come from ``ctx.info`` (recorded by the
     collection engine); passing the collected *dataset* additionally
     stamps its SHA-256 digest.  When the dataset was never materialized
-    — an out-of-core store run — pass the store's *dataset_sha256*: one
+    — a live store run — pass the store's *dataset_sha256*: one
     :func:`digest_stream`, so comparable across both layouts.
     """
     import repro

@@ -8,7 +8,8 @@ table, sampling User-Agents — and emits the same aggregates the paper's
 data-collection framework provides:
 
 - an :class:`~repro.core.dataset.ActivityDataset` (daily or weekly
-  windows),
+  windows), merged in memory; :mod:`repro.core.io` saves it as one
+  ``.npz`` or as a sharded store,
 - a :class:`~repro.routing.series.RoutingSeries` of daily RIB
   snapshots,
 - a :class:`~repro.sim.useragents.UASampleStore` for the sampled
@@ -27,7 +28,6 @@ the determinism contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,9 +53,6 @@ from repro.sim.restructure import (
 )
 from repro.sim.scenario import Perturbation, Scenario, compile_scenario
 from repro.sim.useragents import UASampleStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.store import DatasetStore
 
 #: Offset added to an AS number to form its post-event sibling origin.
 _SIBLING_ASN_OFFSET = 30000
@@ -288,13 +285,12 @@ class RoutingEvolution:
 class CollectionResult:
     """Everything one observatory run produces.
 
-    Exactly one of :attr:`dataset` and :attr:`store` is set: with a
-    ``store_dir`` the dataset is written shard by shard to an
-    out-of-core store (:mod:`repro.core.store`) and never assembled in
-    memory.
+    :attr:`dataset` is always the merged in-memory dataset; a caller
+    that wants it as a sharded store writes it with
+    :func:`~repro.core.io.save_store`.
     """
 
-    dataset: ActivityDataset | None
+    dataset: ActivityDataset
     routing: RoutingSeries
     schedule: RestructureSchedule
     ua_store: UASampleStore | None
@@ -307,8 +303,6 @@ class CollectionResult:
     login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
     #: Wall-clock and throughput counters of the run.
     perf: PerfCounters | None = None
-    #: The finalized out-of-core store, when a ``store_dir`` was given.
-    store: "DatasetStore | None" = None
 
     @property
     def num_days(self) -> int:
@@ -338,8 +332,6 @@ class CDNObservatory:
         fault: FaultInjection | None = None,
         obs: ObsContext | None = None,
         progress=None,
-        store_dir: str | None = None,
-        store_shard_blocks: int = 256,
         scenario: Scenario | None = None,
     ) -> CollectionResult:
         """Run *num_days* days and return daily snapshots.
@@ -373,11 +365,6 @@ class CDNObservatory:
         :func:`~repro.sim.engine.run_sharded_collection`; ``progress``
         is called with one :class:`~repro.sim.engine.ShardProgress` per
         finished shard.  Neither affects the collected output.
-
-        ``store_dir`` writes the dataset as an out-of-core sharded
-        store (``store_shard_blocks`` /24s per shard) instead of
-        assembling it in memory; the result then carries ``store``
-        instead of ``dataset``.
         """
         return self._collect(
             num_days,
@@ -393,8 +380,6 @@ class CDNObservatory:
             fault=fault,
             obs=obs,
             progress=progress,
-            store_dir=store_dir,
-            store_shard_blocks=store_shard_blocks,
             scenario=scenario,
         )
 
@@ -411,8 +396,6 @@ class CDNObservatory:
         fault: FaultInjection | None = None,
         obs: ObsContext | None = None,
         progress=None,
-        store_dir: str | None = None,
-        store_shard_blocks: int = 256,
         scenario: Scenario | None = None,
     ) -> CollectionResult:
         """Run ``7 * num_weeks`` days, aggregating each week on the fly.
@@ -437,8 +420,6 @@ class CDNObservatory:
             fault=fault,
             obs=obs,
             progress=progress,
-            store_dir=store_dir,
-            store_shard_blocks=store_shard_blocks,
             scenario=scenario,
         )
 
@@ -459,8 +440,6 @@ class CDNObservatory:
         fault: FaultInjection | None = None,
         obs: ObsContext | None = None,
         progress=None,
-        store_dir: str | None = None,
-        store_shard_blocks: int = 256,
         scenario: Scenario | None = None,
     ) -> CollectionResult:
         if not 0.0 <= login_panel_rate <= 1.0:
@@ -505,14 +484,9 @@ class CDNObservatory:
                 fault=fault,
                 obs=run_ctx,
                 progress=progress,
-                store_dir=store_dir,
-                store_shard_blocks=store_shard_blocks,
             )
         return CollectionResult(
-            dataset=(
-                None if outcome.store is not None
-                else ActivityDataset(outcome.snapshots)
-            ),
+            dataset=ActivityDataset(outcome.snapshots),
             routing=RoutingSeries(routing_tables),
             schedule=schedule,
             ua_store=outcome.ua_store,
@@ -520,7 +494,6 @@ class CDNObservatory:
             final_kinds=outcome.final_kinds,
             login_trace=outcome.login_trace,
             perf=PerfCounters.from_context(run_ctx),
-            store=outcome.store,
         )
 
     def schedule_cover(self, event: RestructureEvent):

@@ -7,7 +7,11 @@ other block's.  This module reproduces that shape: the population's
 blocks are partitioned into contiguous shards, each shard's policy
 simulation runs in a worker process, and the per-day (or per-week)
 shard columns are combined with the k-way merge machinery from
-:mod:`repro.core.index`.
+:mod:`repro.core.index` into one in-memory snapshot per window, each
+window's shard columns released as soon as it is merged.  The engine
+writes no files besides its checkpoints: a caller that wants a
+sharded store saves the merged dataset with
+:func:`~repro.core.io.save_store`.
 
 The non-negotiable contract is **bit-identical output regardless of
 worker count**.  Three properties make shard boundaries invisible:
@@ -23,7 +27,7 @@ worker count**.  Three properties make shard boundaries invisible:
    per-block outcomes as :data:`directives <ShardTask.directives>`.
 3. The merge is canonical: /24 blocks own disjoint address ranges, so
    shard window columns never share an address and
-   :func:`~repro.core.index.kway_union` yields the same sorted union
+   :func:`~repro.core.index.kway_union_columns` yields the same sorted union
    whatever the shard count.  Hit counts are integers well below
    2**53, so per-shard ``float64`` accumulation followed by cross-
    shard ``uint64`` addition is exact.
@@ -57,8 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.dataset import Snapshot
-from repro.core.index import kway_union, kway_union_columns
-from repro.core.store import DatasetStore, StoreWriter
+from repro.core.index import kway_union_columns
 from repro.errors import CollectionError, ConfigError, InjectedWorkerFault
 from repro.obs import context as obs_api
 from repro.obs.context import ObsContext
@@ -362,14 +365,7 @@ class PerfCounters:
 
 @dataclass
 class ShardedOutcome:
-    """Merged result of all shards (the coordinator adds routing).
-
-    With a ``store_dir`` the merge phase writes the dataset straight to
-    an out-of-core store instead of assembling snapshots in memory:
-    :attr:`store` is then the finalized
-    :class:`~repro.core.store.DatasetStore` and :attr:`snapshots` is
-    empty.
-    """
+    """Merged result of all shards (the coordinator adds routing)."""
 
     snapshots: list[Snapshot]
     ua_store: UASampleStore | None
@@ -377,7 +373,6 @@ class ShardedOutcome:
     scan_states: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]]
     final_kinds: dict[int, PolicyKind]
     perf: PerfCounters
-    store: DatasetStore | None = None
 
 
 def _partial_column(
@@ -402,63 +397,6 @@ def _partial_column(
     group = np.cumsum(boundary) - 1
     summed = np.bincount(group, weights=hits)
     return ips[boundary], summed.astype(np.uint64)
-
-
-def _merge_results_to_store(
-    results: list[ShardResult],
-    start_date: datetime.date,
-    window_days: int,
-    num_windows: int,
-    store_dir: str,
-    shard_blocks: int,
-) -> DatasetStore:
-    """Merge worker results straight into an out-of-core store.
-
-    Writes the dataset the legacy merge would assemble — bit-identical,
-    by construction — without ever holding it whole: store shards are
-    keyed by sorted /24 base address (block *index* order is not
-    address order; the population allocator interleaves countries), and
-    every worker window column is sorted, so each chunk's members are
-    ``searchsorted`` slices whose per-chunk union equals the matching
-    slice of the full ``kway_union``.
-    """
-    base_parts = [
-        np.unique(ips & np.uint32(0xFFFFFF00))
-        for result in results
-        for ips in result.window_ips
-        if ips.size
-    ]
-    if base_parts:
-        bases = np.unique(np.concatenate(base_parts))
-    else:
-        bases = np.empty(0, dtype=np.uint32)
-    writer = StoreWriter(
-        store_dir,
-        start=start_date,
-        window_days=window_days,
-        num_snapshots=num_windows,
-        shard_blocks=shard_blocks,
-    )
-    for chunk_start in range(0, int(bases.size), shard_blocks):
-        chunk = bases[chunk_start : chunk_start + shard_blocks]
-        lo = int(chunk[0])
-        # Inclusive last address of the chunk's top /24 — the exclusive
-        # bound would overflow uint32 on the final block.
-        hi = int(chunk[-1]) + 255
-        columns: list[tuple[np.ndarray, np.ndarray]] = []
-        for window in range(num_windows):
-            ips_parts: list[np.ndarray] = []
-            hits_parts: list[np.ndarray] = []
-            for result in results:
-                column = result.window_ips[window]
-                left = int(np.searchsorted(column, lo))
-                right = int(np.searchsorted(column, hi, side="right"))
-                if right > left:
-                    ips_parts.append(column[left:right])
-                    hits_parts.append(result.window_hits[window][left:right])
-            columns.append(kway_union_columns(ips_parts, hits_parts))
-        writer.add_shard(chunk, columns)
-    return writer.finalize()
 
 
 def simulate_shard(task: ShardTask) -> ShardResult:
@@ -1046,15 +984,6 @@ class LiveShardSimulator:
 
 
 @dataclass(frozen=True)
-class _ShardColumn:
-    """Adapter giving a shard's window column the snapshot interface
-    :func:`~repro.core.index.kway_union` consumes."""
-
-    ips: np.ndarray
-    hits: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShardProgress:
     """One heartbeat of a running collection (the ``--progress`` feed).
 
@@ -1219,8 +1148,6 @@ def run_sharded_collection(
     fault: FaultInjection | None = None,
     obs: ObsContext | None = None,
     progress=None,
-    store_dir: str | None = None,
-    store_shard_blocks: int = 256,
 ) -> ShardedOutcome:
     """Simulate all blocks across *workers* processes and merge.
 
@@ -1248,21 +1175,16 @@ def run_sharded_collection(
     :class:`ShardProgress`) is invoked each time a shard finishes,
     however it finished.  None of this touches any random stream.
 
-    Out-of-core: with *store_dir* set, the merge phase writes the
-    dataset directly as a sharded store of *store_shard_blocks* /24s
-    per shard (:mod:`repro.core.store`) — bit-identical to the
-    in-memory merge — and the outcome carries ``store`` instead of
-    ``snapshots``.
+    The merge consumes the shard results' window columns: each window
+    is unioned across shards and its shard columns are released before
+    the next window is merged, so the merge holds the merged dataset
+    plus the shard columns not yet merged, never both in full.
     """
     config = population.config
     blocks = population.blocks
     _validate_windowing(num_days, window_days)
     if max_retries < 0:
         raise ConfigError(f"max_retries must be >= 0: {max_retries}")
-    if store_shard_blocks < 1:
-        raise ConfigError(
-            f"store_shard_blocks must be >= 1: {store_shard_blocks}"
-        )
     if retry_backoff < 0:
         raise ConfigError(f"retry_backoff must be >= 0: {retry_backoff}")
     if resume and checkpoint_dir is None:
@@ -1411,28 +1333,17 @@ def run_sharded_collection(
         with obs_api.span("collect/merge"):
             num_windows = num_days // window_days
             snapshots: list[Snapshot] = []
-            store: DatasetStore | None = None
-            if store_dir is not None:
-                store = _merge_results_to_store(
-                    results,
-                    config.start_date,
-                    window_days,
-                    num_windows,
-                    store_dir,
-                    store_shard_blocks,
+            window_start = config.start_date
+            for _ in range(num_windows):
+                # pop(0) hands each shard's next column to the union and
+                # drops the result's reference to it, so a column is
+                # freed as soon as its window is merged.
+                ips, hits = kway_union_columns(
+                    [result.window_ips.pop(0) for result in results],
+                    [result.window_hits.pop(0) for result in results],
                 )
-            else:
-                window_start = config.start_date
-                for window in range(num_windows):
-                    columns = [
-                        _ShardColumn(
-                            result.window_ips[window], result.window_hits[window]
-                        )
-                        for result in results
-                    ]
-                    ips, hits = kway_union(columns)
-                    snapshots.append(Snapshot(window_start, window_days, ips, hits))
-                    window_start += datetime.timedelta(days=window_days)
+                snapshots.append(Snapshot(window_start, window_days, ips, hits))
+                window_start += datetime.timedelta(days=window_days)
 
             ua_store: UASampleStore | None = None
             if ua_window is not None:
@@ -1472,5 +1383,4 @@ def run_sharded_collection(
         scan_states=scan_states,
         final_kinds=final_kinds,
         perf=perf,
-        store=store,
     )

@@ -181,6 +181,61 @@ class TestParallelSimulate:
         assert load_dataset(out).total_unique() > 0
 
 
+class TestSimulateStoreDir:
+    """`simulate --store-dir` saves the merged dataset as a sharded store."""
+
+    ARGS = ["simulate", "--seed", "4", "--ases", "15", "--blocks-per-as", "3",
+            "--days", "14", "--store-shard-blocks", "8"]
+
+    @pytest.mark.parametrize("weekly", [False, True], ids=["daily", "weekly"])
+    def test_store_matches_npz_run_at_any_worker_count(
+        self, tmp_path, capsys, weekly
+    ):
+        from repro.core.io import open_store
+        from repro.obs import load_manifest
+
+        args = self.ARGS + (["--weekly"] if weekly else [])
+        assert main(args + ["--out", str(tmp_path / "npz")]) == 0
+        reference = load_manifest(tmp_path / "npz.manifest.json")["dataset"]
+        roots = []
+        for workers in ("1", "2"):
+            root = tmp_path / f"store{workers}"
+            assert main(
+                args + ["--workers", workers, "--store-dir", str(root),
+                        "--out", str(tmp_path / f"out{workers}")]
+            ) == 0
+            manifest = load_manifest(f"{root}.manifest.json")["dataset"]
+            assert manifest["sha256"] == reference["sha256"]
+            with open_store(root) as store:
+                assert len(store.shards) > 1
+                assert store.dataset_sha256 == reference["sha256"]
+            roots.append(root)
+        assert [path.name for path in tmp_path.glob("*.npz")] == ["npz.npz"]
+        serial, parallel = roots
+        names = sorted(path.name for path in serial.iterdir())
+        assert "store.manifest.json" in names
+        assert names == sorted(path.name for path in parallel.iterdir())
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_rejects_zero_store_shard_blocks_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.sim import InternetPopulation
+
+        def refuse(config):
+            raise AssertionError("simulated despite an invalid flag")
+
+        monkeypatch.setattr(InternetPopulation, "build", refuse)
+        code = main(
+            ["simulate", "--store-shard-blocks", "0",
+             "--store-dir", str(tmp_path / "store"), "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert "--store-shard-blocks" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestObservabilityFlags:
     def test_manifest_written_next_to_dataset(self, stored_world):
         from repro.core.io import load_dataset
