@@ -472,8 +472,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_churn(summary) -> None:
-    """Print one churn summary — shared by in-memory and streamed paths."""
+def _render_churn(source, transitions, daily) -> None:
+    """Print churn over a dataset or a store with that path's functions.
+
+    *transitions* and *daily* are the in-memory or the streamed pair,
+    looked up on the churn module by each caller at call time.
+    """
+    if source.window_days != 1:
+        summary = churn.ChurnSummary(source.window_days, tuple(transitions(source)))
+    else:
+        summary = daily(source)
     rows = [
         ("window", f"{summary.window_days}d"),
         ("up events (min/median/max)",
@@ -487,23 +495,11 @@ def _render_churn(summary) -> None:
 
 
 def _analyze_churn(dataset, args: argparse.Namespace) -> None:
-    if dataset.window_days != 1:
-        summary = churn.ChurnSummary(
-            dataset.window_days, tuple(churn.transition_churn(dataset))
-        )
-    else:
-        summary = churn.daily_churn(dataset)
-    _render_churn(summary)
+    _render_churn(dataset, churn.transition_churn, churn.daily_churn)
 
 
 def _analyze_churn_store(store, args: argparse.Namespace) -> None:
-    if store.window_days != 1:
-        summary = churn.ChurnSummary(
-            store.window_days, tuple(churn.transition_churn_streamed(store))
-        )
-    else:
-        summary = churn.daily_churn_streamed(store)
-    _render_churn(summary)
+    _render_churn(store, churn.transition_churn_streamed, churn.daily_churn_streamed)
 
 
 def _render_block_metrics(block_metrics) -> None:

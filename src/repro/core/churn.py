@@ -9,6 +9,10 @@ The headline findings these functions reproduce:
 - churn does *not* vanish at coarser granularity: at 7-day windows and
   beyond it plateaus around 5% (Fig. 4b) — the set of active addresses
   is in constant flux at every timescale.
+
+Every overlap is one count, :func:`_window_transitions`, on presence
+maps over a dataset index's positions or a column range's /24 slots
+(:func:`~repro.core.index.block_slots`: store ranges, the live fold).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
+from repro.core.index import block_slots
 from repro.core.windows import PAPER_WINDOW_SIZES, usable_window_sizes
 from repro.errors import DatasetError
 from repro.obs import context as obs
@@ -172,21 +177,7 @@ def churn_by_window_size(
     :class:`~repro.errors.DatasetError` rather than returning an empty
     dict that downstream statistics would trip over.
     """
-    if dataset.window_days != 1:
-        raise DatasetError("the window-size sweep expects a daily dataset")
-    if window_sizes is None:
-        candidates: Sequence[int] = PAPER_WINDOW_SIZES
-    else:
-        candidates = list(window_sizes)
-        for size in candidates:
-            if size < 1:
-                raise DatasetError(f"bad window size: {size}")
-    sizes = usable_window_sizes(dataset, candidates)
-    if not sizes:
-        raise DatasetError(
-            f"no usable window sizes in {list(candidates)}: every size leaves "
-            f"fewer than two windows over {len(dataset)} days"
-        )
+    sizes = _sweep_sizes(dataset, window_sizes)
     with obs.span("analyze/churn/window_sweep"):
         columns, map_size = _index_columns(dataset)
         return {
@@ -195,40 +186,66 @@ def churn_by_window_size(
         }
 
 
-def _sum_transitions(
-    per_shard: Sequence[Sequence[TransitionChurn]], num_transitions: int
-) -> list[TransitionChurn]:
-    """Per-transition sums of churn counted over disjoint address ranges.
+def _sweep_sizes(
+    source: "ActivityDataset | DatasetStore", window_sizes: Sequence[int] | None
+) -> list[int]:
+    """The usable window sizes of a sweep over a daily dataset or store."""
+    if source.window_days != 1:
+        raise DatasetError("the window-size sweep expects a daily dataset")
+    if window_sizes is None:
+        candidates: Sequence[int] = PAPER_WINDOW_SIZES
+    else:
+        candidates = list(window_sizes)
+        for size in candidates:
+            if size < 1:
+                raise DatasetError(f"bad window size: {size}")
+    sizes = usable_window_sizes(source, candidates)
+    if not sizes:
+        raise DatasetError(
+            f"no usable window sizes in {list(candidates)}: every size leaves "
+            f"fewer than two windows over {len(source)} days"
+        )
+    return sizes
 
-    Up/down events and active counts decompose over disjoint address
-    ranges, so summing each transition's counts over the store's shards
-    reproduces the count over the whole address space exactly (and a
-    store without shards has only zero counts).
+
+def _streamed_transitions(
+    store: "DatasetStore", sizes: Sequence[int]
+) -> dict[int, list[TransitionChurn]]:
+    """Churn between consecutive windows of each size, range by range.
+
+    Each range's columns become /24 slot maps, bounded by one range's
+    data.  Up/down events and active counts decompose over disjoint
+    address ranges, so the per-transition sums are exact.
     """
-    totals = np.zeros((num_transitions, 4), dtype=np.int64)
-    for transitions in per_shard:
-        totals += np.array([astuple(t) for t in transitions], dtype=np.int64)
-    return [TransitionChurn(*(int(count) for count in row)) for row in totals]
+    num_windows = len(store)
+    totals = {
+        size: np.zeros((num_windows // size - 1, 4), dtype=np.int64) for size in sizes
+    }
+    for shard in store.iter_shards():
+        slots, map_size = block_slots(
+            [shard.columns(position)[0] for position in range(num_windows)]
+        )
+        for size in sizes:
+            totals[size] += np.array(
+                [astuple(t) for t in _window_transitions(slots, map_size, size)],
+                dtype=np.int64,
+            )
+    return {
+        size: [TransitionChurn(*(int(count) for count in row)) for row in rows]
+        for size, rows in totals.items()
+    }
 
 
 def transition_churn_streamed(store: "DatasetStore") -> list[TransitionChurn]:
     """Churn for every consecutive window pair, streamed over a store.
 
-    Produces exactly ``transition_churn(store.to_dataset())`` — the
-    in-memory function is the reference spec — in constant memory: a
-    fresh :class:`IncrementalChurn` folds each shard's columns, and the
-    per-shard counts are summed per transition (:func:`_sum_transitions`).
+    Produces exactly ``transition_churn(store.to_dataset())``: the
+    size-1 case of the streamed sweep's range loop.
     """
     if store.num_snapshots < 2:
         raise DatasetError("need at least two windows to measure churn")
     with obs.span("analyze/churn/transitions_streamed"):
-        per_shard = []
-        for shard in store.iter_shards():
-            fold = IncrementalChurn()
-            for position in range(store.num_snapshots):
-                fold.update(shard.columns(position)[0])
-            per_shard.append(fold.transitions())
-        out = _sum_transitions(per_shard, store.num_snapshots - 1)
+        out = _streamed_transitions(store, [1])[1]
         obs.add("analyze_churn_transitions_total", len(out))
     return out
 
@@ -240,85 +257,30 @@ def daily_churn_streamed(store: "DatasetStore") -> ChurnSummary:
     return ChurnSummary(1, tuple(transition_churn_streamed(store)))
 
 
-def _block_slots(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Each column's addresses as slots in a presence map over its /24s.
-
-    Addresses only — hits play no part in churn.  The map has one row
-    of 256 slots per /24 active in any column, rows in address order,
-    so it is bounded by one address range's blocks and built without
-    sorting addresses; returns the slots and the map size.
-    """
-    mask = np.uint32(0xFFFFFF00)
-    nonempty = [ips & mask for ips in columns if ips.size]
-    blocks = (
-        np.unique(np.concatenate(nonempty))  # O(active /24s of the columns)
-        if nonempty
-        else np.empty(0, dtype=np.uint32)
-    )
-    slots = [
-        np.searchsorted(blocks, ips & mask) * 256 + (ips & np.uint32(0xFF))
-        for ips in columns
-    ]
-    return slots, blocks.size * 256
-
-
 def churn_by_window_size_streamed(
     store: "DatasetStore", window_sizes: Sequence[int] | None = None
 ) -> dict[int, ChurnSummary]:
     """Streamed equivalent of :func:`churn_by_window_size` over a store.
 
-    Same filtering, truncation, and error contract as the in-memory
-    sweep.  Per address range, every window size's presence maps are
-    built from that range's daily columns (bounded by one range's
-    data, see :func:`_block_slots`) and consecutive maps counted
-    against each other; window unions restricted to disjoint address
-    ranges partition the full window union, so the per-range counts
-    sum to the reference exactly.
+    Same size check, truncation, and error contract as the in-memory
+    sweep, counted by :func:`_streamed_transitions`.
     """
-    if store.window_days != 1:
-        raise DatasetError("the window-size sweep expects a daily dataset")
-    if window_sizes is None:
-        candidates: Sequence[int] = PAPER_WINDOW_SIZES
-    else:
-        candidates = list(window_sizes)
-        for size in candidates:
-            if size < 1:
-                raise DatasetError(f"bad window size: {size}")
-    num_days = store.num_snapshots
-    sizes = [size for size in candidates if num_days // size >= 2]
-    if not sizes:
-        raise DatasetError(
-            f"no usable window sizes in {list(candidates)}: every size leaves "
-            f"fewer than two windows over {num_days} days"
-        )
-    per_shard: dict[int, list[list[TransitionChurn]]] = {size: [] for size in sizes}
+    sizes = _sweep_sizes(store, window_sizes)
     with obs.span("analyze/churn/window_sweep_streamed"):
-        for shard in store.iter_shards():
-            slots, map_size = _block_slots(
-                [shard.columns(position)[0] for position in range(num_days)]
-            )
-            for size in sizes:
-                per_shard[size].append(_window_transitions(slots, map_size, size))
-    return {
-        size: ChurnSummary(
-            size, tuple(_sum_transitions(per_shard[size], num_days // size - 1))
-        )
-        for size in sizes
-    }
+        transitions = _streamed_transitions(store, sizes)
+    return {size: ChurnSummary(size, tuple(transitions[size])) for size in sizes}
 
 
 class IncrementalChurn:
     """Transition churn folded one appended window at a time.
 
-    The one fold behind both out-of-core paths: the live-observatory
-    service feeds it one interval per scheduler tick, and the streamed
-    transitions above feed a fresh one per store shard.  Each
-    :meth:`update` counts one new window column against the previously
-    appended one.  Columns are sorted unique ``uint32`` arrays (every
-    snapshot's shape), so one binary search of the new column into the
-    previous one counts the addresses present in both; up and down
-    events are the two columns' sizes less that overlap.  The property
-    suites pin :meth:`transitions` equal to the batch reference
+    The live-observatory service feeds it one interval per scheduler
+    tick.  Each :meth:`update` counts one new window column against the
+    previously appended one with the module's one overlap counter:
+    both columns' addresses as /24 slots
+    (:func:`~repro.core.index.block_slots`), then
+    :func:`_window_transitions` over the pair.  The property suites pin
+    :meth:`transitions` equal to the batch reference
     (:func:`transition_churn`) after every prefix of appended intervals.
     """
 
@@ -333,20 +295,9 @@ class IncrementalChurn:
     def update(self, ips: np.ndarray) -> None:
         """Fold one window column (sorted unique ``uint32``) in."""
         column = np.asarray(ips, dtype=np.uint32)
-        previous = self._previous
-        if previous is not None:
-            both = 0
-            if previous.size and column.size:
-                found = np.searchsorted(previous, column)
-                found[found == previous.size] = 0
-                both = int(np.count_nonzero(previous[found] == column))
-            self._transitions.append(
-                TransitionChurn(
-                    up_count=int(column.size) - both,
-                    down_count=int(previous.size) - both,
-                    active_before=int(previous.size),
-                    active_after=int(column.size),
-                )
+        if self._previous is not None:
+            self._transitions += _window_transitions(
+                *block_slots([self._previous, column]), 1
             )
         self._previous = column
 

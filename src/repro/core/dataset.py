@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.index import DatasetIndex, kway_union
+from repro.core.index import DatasetIndex, distinct_union, kway_union
 from repro.errors import DatasetError
 
 
@@ -239,8 +239,15 @@ class ActivityDataset:
         return self.index.all_ips
 
     def total_unique(self) -> int:
-        """Number of distinct addresses ever active."""
-        return int(self.all_ips().size)
+        """Number of distinct addresses ever active.
+
+        Read from the index when it is already built; otherwise counted
+        from one sort of the snapshots' addresses, which keeps no
+        inverse and leaves the index unbuilt.
+        """
+        if self._index is not None:
+            return int(self._index.all_ips.size)
+        return int(distinct_union([snapshot.ips for snapshot in self]).size)
 
     def mean_active(self) -> float:
         """Average active addresses per snapshot (Table 1 averages)."""

@@ -8,9 +8,11 @@ per-address activity summaries (Fig. 9), and the /24 block keys with
 their per-snapshot scatter indices (Figs. 6–8).  Event detection
 (:mod:`repro.core.detect`) and churn (:mod:`repro.core.churn`,
 Figs. 4a/4b) count consecutive-window overlaps as presence masks over
-the same positions.  Before this module existed each figure
-recomputed those from scratch; on a multi-million address dataset
-the union step alone dominated every analysis pass.
+the same positions; :func:`block_slots` builds the same masks over a
+column range's /24 slots for stores and the live fold.  Before this
+module existed each figure recomputed those from scratch; on a
+multi-million address dataset the union step alone dominated every
+analysis pass.
 
 :class:`DatasetIndex` computes each of these layers lazily, exactly
 once, and memoizes the result.  Memoization is safe because
@@ -87,6 +89,61 @@ def kway_union(snapshots) -> tuple[np.ndarray, np.ndarray]:
         [snapshot.ips for snapshot in snapshots],
         [snapshot.hits for snapshot in snapshots],
     )
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal *values* (sorted)."""
+    heads = np.empty(values.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def distinct_union(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values over all *parts*: one sort and one mask.
+
+    numpy's plain ``np.unique`` hashes integer input before sorting,
+    which on a world's address columns is several times slower and
+    larger at its peak than sorting the concatenation in place.
+    """
+    if not parts:
+        return np.empty(0, dtype=np.uint32)
+    values = np.concatenate(parts)
+    values.sort()
+    return values[_run_heads(values)]
+
+
+def block_runs(ips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The /24 runs of a sorted column: ``(bases, lengths)``.
+
+    The column is sorted, so each /24 is one contiguous run; its base
+    is the run head's masked address.
+    """
+    blocks = ips & np.uint32(0xFFFFFF00)
+    starts = np.flatnonzero(_run_heads(blocks))
+    return blocks[starts], np.diff(starts, append=blocks.size)
+
+
+def block_slots(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Each column's addresses as slots in a presence map over its /24s.
+
+    Addresses only — hits play no part in overlaps.  The map has one
+    row of 256 slots per /24 active in any column, rows in address
+    order, and an address's slot is ``row << 8 | low byte`` (``uint32``:
+    a row is below 2**24).  The rows come from each sorted column's /24
+    runs (:func:`block_runs`), so only the run heads are sorted, never
+    the addresses.  Returns the slots and the map size.
+    """
+    runs = [block_runs(ips) for ips in columns]
+    bases = distinct_union([heads for heads, _ in runs])  # O(active /24s)
+    slots = []
+    for ips, (heads, lengths) in zip(columns, runs):
+        rows = np.searchsorted(bases, heads).astype(np.uint32)
+        rows <<= np.uint32(8)
+        column_slots = np.repeat(rows, lengths)
+        column_slots |= ips & np.uint32(0xFF)
+        slots.append(column_slots)
+    return slots, bases.size * 256
 
 
 def iter_union_runs(

@@ -61,6 +61,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.dataset import ActivityDataset, Snapshot
+from repro.core.index import block_runs, distinct_union
 from repro.errors import DatasetError, RoutingError
 from repro.net.prefix import Prefix
 from repro.obs import context as obs
@@ -555,14 +556,7 @@ def save_store(
             shard_blocks=shard_blocks,
         )
         snapshots = list(dataset)
-        bases = np.unique(
-            np.concatenate(
-                [
-                    np.unique(snapshot.ips & np.uint32(0xFFFFFF00))
-                    for snapshot in snapshots
-                ]
-            )
-        )
+        bases = distinct_union([block_runs(snapshot.ips)[0] for snapshot in snapshots])
         for chunk_start in range(0, int(bases.size), shard_blocks):
             chunk = bases[chunk_start : chunk_start + shard_blocks]
             lo = int(chunk[0])

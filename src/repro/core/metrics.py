@@ -10,9 +10,9 @@ The two metrics of Sec. 5.1, computed per /24 block:
   by the maximum possible (256 × days), in (0, 1].  Separates heavily
   used pools from barely used ones regardless of filling degree.
 
-Both are computed for every active block at once via bincount over the
-dataset's sparse columns, so a multi-million-address dataset is a few
-vector passes.
+Both come from one fold, :class:`IncrementalBlockMetrics`, over the
+columns of a dataset, of each store shard, or of the live intervals;
+an update is a few vector passes over one column.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
+from repro.core.index import block_runs, distinct_union
 from repro.errors import DatasetError
 from repro.net.ipv4 import block_of
 from repro.obs import context as obs
@@ -80,42 +81,29 @@ def compute_block_metrics(dataset: ActivityDataset) -> BlockMetrics:
     dataset that is exactly the paper's active address-days.  For
     coarser windows the denominator scales accordingly (an address
     active in a week contributes one unit out of the week's one).
+    The dataset is one /24 range, so this is one
+    :class:`IncrementalBlockMetrics` fed every snapshot's addresses.
     """
     with obs.span("analyze/block_metrics"):
-        index = dataset.index
-        if index.all_ips.size == 0:
-            raise DatasetError("dataset has no active addresses")
-        bases = index.block_bases
-
-        fd = index.block_filling_degree
-        activity = np.zeros(bases.size, dtype=np.int64)
-        for position in range(len(dataset)):
-            block_idx = index.snapshot_block_index(position)
-            if block_idx.size == 0:
-                continue
-            activity += np.bincount(block_idx, minlength=bases.size)
-        stu = activity / (BLOCK_SIZE * len(dataset))
-        obs.add("analyze_blocks_total", int(bases.size))
-        return BlockMetrics(
-            bases=bases,
-            filling_degree=fd.astype(np.int64),
-            stu=stu,
-            window_days=dataset.total_days,
-        )
+        fold = IncrementalBlockMetrics(dataset.window_days)
+        for snapshot in dataset:
+            fold.update(snapshot.ips)
+        result = fold.result()
+        obs.add("analyze_blocks_total", result.num_blocks)
+        return result
 
 
 def compute_block_metrics_streamed(store: "DatasetStore") -> BlockMetrics:
     """FD and STU streamed shard-at-a-time over an out-of-core store.
 
-    Produces exactly ``compute_block_metrics(store.to_dataset())`` —
-    the in-memory function above is the executable reference spec —
+    Produces exactly ``compute_block_metrics(store.to_dataset())``
     without ever materializing the dataset: per-/24 quantities
     decompose over the store's disjoint, 256-aligned shard ranges, so
-    an :class:`IncrementalBlockMetrics` fed one shard's columns yields
-    a complete, final slice of the result.  STU is element-wise over
-    integer counts with the same divisor in every slice, so the slices
-    concatenate exactly.  Peak memory is one shard's columns plus the
-    per-block state and output.
+    the fold :func:`compute_block_metrics` runs over a whole dataset,
+    fed one shard's columns, yields a complete, final slice of the
+    result.  STU is element-wise over integer counts with the same
+    divisor in every slice, so the slices concatenate exactly.  Peak
+    memory is one shard's columns plus the per-block state and output.
     """
     with obs.span("analyze/block_metrics_streamed"):
         parts: list[BlockMetrics] = []
@@ -142,25 +130,28 @@ def compute_block_metrics_streamed(store: "DatasetStore") -> BlockMetrics:
 class IncrementalBlockMetrics:
     """FD/STU folded one appended snapshot at a time.
 
-    The one fold behind both out-of-core paths: the live-observatory
-    service feeds it one interval per scheduler tick, and
+    The one fold behind every metrics path: the live-observatory
+    service feeds it one interval per scheduler tick,
     :func:`compute_block_metrics_streamed` feeds a fresh one per store
-    shard.  The running state is per /24 only, never per address:
+    shard, and :func:`compute_block_metrics` one over the whole
+    dataset.  The running state is per /24 only, never per address:
 
     - a ``(blocks, 256)`` presence map — row *r*, column *o* is True
       once address ``bases[r] + o`` has been active — whose row counts
       are the FD, so an address seen on several days counts once;
-    - per-/24 ``int64`` activity totals — the same integers as the
-      batch bincounts, so the one ``activity / (256 * n)`` division at
-      :meth:`result` time produces bit-identical ``float64`` STU.
+    - per-/24 ``int64`` activity totals — the same integers as a
+      bincount of the addresses' /24s, so the one
+      ``activity / (256 * n)`` division at :meth:`result` time
+      produces bit-identical ``float64`` STU.
 
     An update costs one pass over the column plus, only when the
     column brings a /24 not seen before, one re-index of the per-/24
     state; nothing grows with the address history.
 
-    The batch functions stay the executable reference spec; the
-    property suites pin ``result()`` equal to them after every prefix
-    of appended intervals.
+    A frozen copy of the index-based bincount it replaced is the
+    executable spec (``tests/core/test_overlap_oracles.py``); the
+    property suites pin ``result()`` equal to the batch functions after
+    every prefix of appended intervals.
     """
 
     def __init__(self, window_days: int) -> None:
@@ -187,14 +178,7 @@ class IncrementalBlockMetrics:
         self._num_snapshots += 1
         if column.size == 0:
             return
-        blocks = column & np.uint32(0xFFFFFF00)
-        # The column is sorted, so each /24 is one contiguous run.
-        run_start = np.empty(blocks.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(blocks[1:], blocks[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        new_bases = blocks[starts]
-        counts = np.diff(starts, append=blocks.size)
+        new_bases, counts = block_runs(column)
         rows = np.searchsorted(self._bases, new_bases)
         if rows[-1] == self._bases.size or not np.array_equal(
             self._bases[rows], new_bases
@@ -202,11 +186,13 @@ class IncrementalBlockMetrics:
             self._reindex(new_bases)
             rows = np.searchsorted(self._bases, new_bases)
         self._activity[rows] += counts
-        self._presence[np.repeat(rows, counts), column & np.uint32(0xFF)] = True
+        # One 1-D scatter of flat indices: faster than a 2-D one.
+        slots = np.repeat(rows << 8, counts) | (column & np.uint32(0xFF))
+        self._presence.reshape(-1)[slots] = True
 
     def _reindex(self, new_bases: np.ndarray) -> None:
         """Grow the per-/24 state to the union of known and new bases."""
-        bases = np.union1d(self._bases, new_bases)  # O(active /24s)
+        bases = distinct_union([self._bases, new_bases])  # O(active /24s)
         keep = np.searchsorted(bases, self._bases)
         presence = np.zeros((bases.size, BLOCK_SIZE), dtype=bool)
         presence[keep] = self._presence

@@ -73,6 +73,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.dataset import ActivityDataset, Snapshot
+from repro.core.index import block_runs, distinct_union
 from repro.core.io import (
     _CORRUPT_NPZ_ERRORS,
     _fsync_directory,
@@ -1445,10 +1446,10 @@ class StoreAppender:
         """
         ips_col, hits_col = self._validated_column(ips, hits)
         interval = self.committed + 1
-        new_bases = np.unique((ips_col & np.uint32(0xFFFFFF00)).astype(np.int64))
+        new_bases = block_runs(ips_col)[0].astype(np.int64)
         added = self._write_interval(interval, ips_col, hits_col, new_bases)
         prev = self._store
-        bases = np.union1d(self._bases, new_bases)  # O(active /24s)
+        bases = distinct_union([self._bases, new_bases])  # O(active /24s)
         store = DatasetStore(
             self._root,
             start=self._start,

@@ -10,7 +10,7 @@ adds the sweep-and-label conveniences the figures need.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 
 from repro.core.dataset import ActivityDataset
 from repro.errors import DatasetError
@@ -36,11 +36,12 @@ def aggregate_to_window(dataset: ActivityDataset, window_days: int) -> ActivityD
 
 
 def usable_window_sizes(
-    dataset: ActivityDataset, candidates: Sequence[int] = PAPER_WINDOW_SIZES
+    dataset: Sized, candidates: Sequence[int] = PAPER_WINDOW_SIZES
 ) -> list[int]:
     """Window sizes leaving at least two windows (one transition).
 
     Fig. 4b needs a min/median/max per window size, which requires at
-    least one window-to-window transition.
+    least one window-to-window transition.  *dataset* is anything whose
+    ``len()`` is its day count: a daily dataset or a store.
     """
     return [size for size in candidates if len(dataset) // size >= 2]

@@ -9,10 +9,11 @@ serve``.  Each tick it:
 2. commits the interval's column to the live store through
    :class:`~repro.core.store.StoreAppender` (the interval's own
    files, then one atomic replace of the root manifest);
-3. folds the column into the incremental analyses
-   (:class:`~repro.core.metrics.IncrementalBlockMetrics`,
-   :class:`~repro.core.churn.IncrementalChurn`) — batch twins stay the
-   reference spec;
+3. folds the column into the incremental analyses: the metrics fold
+   every metrics path runs (:class:`~repro.core.metrics.IncrementalBlockMetrics`)
+   and :class:`~repro.core.churn.IncrementalChurn`, which counts the
+   previous column against the new one with churn's one overlap
+   counter;
 4. rewrites the rolling run manifest beside the store; its dataset
    SHA-256 (``null`` until then) and the routing RIB are written by
    the tick that completes the horizon, as both grow with history;

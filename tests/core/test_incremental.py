@@ -1,9 +1,11 @@
 """Property tests pinning the incremental analyses to their batch spec.
 
 ``IncrementalBlockMetrics`` and ``IncrementalChurn`` fold in one window
-column at a time; the batch functions over the equivalent
-:class:`ActivityDataset` are the executable reference.  Equality is
-exact (``np.array_equal`` on the float64 STU, not allclose): the
+column at a time.  ``compute_block_metrics`` is itself the metrics
+fold run over a whole dataset, so the metrics reference is the frozen
+index-based bincount it replaced (``block_metrics_oracle``); churn's
+is ``transition_churn`` over the equivalent :class:`ActivityDataset`.
+Equality is exact (``np.array_equal`` on the float64 STU, not allclose): the
 incremental path accumulates the same integers and performs the same
 single division, so any drift is a bug, not rounding.
 
@@ -23,6 +25,7 @@ from repro.core.churn import IncrementalChurn, transition_churn
 from repro.core.dataset import ActivityDataset, Snapshot
 from repro.core.metrics import IncrementalBlockMetrics, compute_block_metrics
 from repro.errors import DatasetError
+from tests.core.test_overlap_oracles import block_metrics_oracle
 
 DAY0 = datetime.date(2015, 8, 17)
 
@@ -92,7 +95,7 @@ class TestIncrementalBlockMetrics:
                     compute_block_metrics(dataset_from(prefix))
                 continue
             assert_metrics_equal(
-                accumulator.result(), compute_block_metrics(dataset_from(prefix))
+                accumulator.result(), block_metrics_oracle(dataset_from(prefix))
             )
 
     @settings(max_examples=40, deadline=None)
@@ -115,7 +118,7 @@ class TestIncrementalBlockMetrics:
             return
         assert_metrics_equal(restarted.result(), uninterrupted.result())
         assert_metrics_equal(
-            restarted.result(), compute_block_metrics(dataset_from(columns))
+            restarted.result(), block_metrics_oracle(dataset_from(columns))
         )
 
     def test_weekly_window_days_scale(self):
@@ -126,7 +129,7 @@ class TestIncrementalBlockMetrics:
         ]
         for ips in columns:
             accumulator.update(ips)
-        batch = compute_block_metrics(dataset_from(columns, window_days=7))
+        batch = block_metrics_oracle(dataset_from(columns, window_days=7))
         assert_metrics_equal(accumulator.result(), batch)
         assert accumulator.result().window_days == 14
 

@@ -1,19 +1,25 @@
-"""Overlap counts on the shared index, pinned to frozen oracles.
+"""Per-/24 counts pinned to the frozen implementations they replaced.
 
 ``detect._block_series``, ``churn.transition_churn`` and
 ``churn.churn_by_window_size`` count the overlap of consecutive
-windows with presence masks over the dataset index's union.  The
-functions below are the versions they replaced, kept verbatim as the
-executable spec: a per-/24 slice of each window compared block by
-block with ``np.intersect1d``, and ``setdiff1d`` up/down sets per
-window pair (of aggregated windows, for the sweep).  Equality is exact, dtypes
-included; the churn fractions come from the same integer counts and
-the same single division, so any drift is a bug, not rounding.
+windows with presence masks over the dataset index's union, and
+``metrics.compute_block_metrics`` runs the ``IncrementalBlockMetrics``
+fold over the whole dataset.  The functions below are the versions
+they replaced, kept verbatim as the executable spec: a per-/24 slice
+of each window compared block by block with ``np.intersect1d``,
+``setdiff1d`` up/down sets per window pair (of aggregated windows, for
+the sweep), and bincounts over the index's /24 layer for FD and STU.
+Equality is exact, dtypes included; the churn fractions and STU come
+from the same integer counts and the same single division, so any
+drift is a bug, not rounding.  ``index.block_slots``, the slot maps
+every store range and the live churn fold count on, is pinned by
+decoding its slots back to the addresses.
 """
 
 import datetime
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +30,10 @@ from repro.core.churn import (
     transition_churn,
 )
 from repro.core.dataset import ActivityDataset, Snapshot
+from repro.core.index import block_slots
+from repro.core.metrics import BLOCK_SIZE, BlockMetrics, compute_block_metrics
 from repro.core.windows import aggregate_to_window
+from repro.errors import DatasetError
 
 DAY0 = datetime.date(2021, 3, 1)
 
@@ -135,6 +144,29 @@ def transition_churn_oracle(dataset):
             )
         )
     return out
+
+
+def block_metrics_oracle(dataset):
+    """FD and STU as bincounts over the index's /24 layer (the replaced body)."""
+    index = dataset.index
+    if index.all_ips.size == 0:
+        raise DatasetError("dataset has no active addresses")
+    bases = index.block_bases
+
+    fd = index.block_filling_degree
+    activity = np.zeros(bases.size, dtype=np.int64)
+    for position in range(len(dataset)):
+        block_idx = index.snapshot_block_index(position)
+        if block_idx.size == 0:
+            continue
+        activity += np.bincount(block_idx, minlength=bases.size)
+    stu = activity / (BLOCK_SIZE * len(dataset))
+    return BlockMetrics(
+        bases=bases,
+        filling_degree=fd.astype(np.int64),
+        stu=stu,
+        window_days=dataset.total_days,
+    )
 
 
 def make(columns, window_days=1):
@@ -281,3 +313,96 @@ class TestTransitionChurnOracle:
         for size, summary in churn_by_window_size(dataset, sizes).items():
             windowed = aggregate_to_window(dataset, size)
             assert list(summary.transitions) == transition_churn_oracle(windowed)
+
+
+class TestBlockMetricsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    @example(EMPTIES_AND_REFILLS)
+    @example(SKIPS_ONE_WINDOW)
+    @example(EMPTY_WINDOWS)
+    @example(SINGLE_WINDOW)
+    @example(WEEKLY)
+    @example(make([({0xFFFFFF00, 0xFFFFFFFF}, 2), (set(), 2), ({0xFFFFFF7F}, 2)]))
+    def test_metrics_equal_the_bincount_oracle(self, dataset):
+        if not any(snapshot.ips.size for snapshot in dataset):
+            return
+        dataset = fresh(dataset)
+        ours = compute_block_metrics(dataset)
+        spec = block_metrics_oracle(fresh(dataset))
+        for name in ("bases", "filling_degree", "stu"):
+            mine, theirs = getattr(ours, name), getattr(spec, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine, theirs), name
+        assert ours.bases.dtype == np.uint32
+        assert ours.filling_degree.dtype == np.int64
+        assert ours.stu.dtype == np.float64
+        assert ours.window_days == spec.window_days
+        # The fold reads the columns alone; the index stays unbuilt.
+        assert dataset._index is None
+
+    def test_empty_dataset_raises_like_the_oracle(self):
+        for function in (compute_block_metrics, block_metrics_oracle):
+            with pytest.raises(DatasetError, match="no active addresses"):
+                function(fresh(ALL_EMPTY))
+
+
+def fresh(dataset):
+    """A copy of *dataset* with its own, unbuilt index."""
+    return ActivityDataset(dataset.snapshots, dataset.dropped_days)
+
+
+class TestTotalUnique:
+    @settings(max_examples=100, deadline=None)
+    @given(datasets())
+    @example(ALL_EMPTY)
+    @example(EMPTY_WINDOWS)
+    def test_count_equals_the_union_without_building_the_index(self, dataset):
+        dataset = fresh(dataset)
+        count = dataset.total_unique()
+        assert type(count) is int
+        assert dataset._index is None
+        assert count == dataset.all_ips().size
+        # Once the index is built the count is read from it.
+        assert dataset.total_unique() == count
+
+
+def decode(slots, bases_of_rows):
+    """The addresses a slot column stands for, given each row's /24 base."""
+    return bases_of_rows[slots >> np.uint32(8)] | (slots & np.uint32(0xFF))
+
+
+class TestBlockSlots:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(window_spec(), max_size=8))
+    @example([])
+    @example([(set(), 1), (set(), 1)])
+    @example([({0xFFFFFFFF, 0x0A000000}, 1), (set(), 1), ({0xFFFFFF00}, 1)])
+    def test_slots_decode_back_to_the_addresses(self, windows):
+        columns = [np.array(sorted(ips), dtype=np.uint32) for ips, _ in windows]
+        slots, map_size = block_slots(columns)
+        nonempty = [ips for ips in columns if ips.size]
+        bases = (
+            np.unique(np.concatenate(nonempty) & np.uint32(0xFFFFFF00))
+            if nonempty
+            else np.empty(0, dtype=np.uint32)
+        )
+        assert map_size == bases.size * 256
+        assert len(slots) == len(columns)
+        for ips, column_slots in zip(columns, slots):
+            assert column_slots.dtype == np.uint32
+            assert np.array_equal(decode(column_slots, bases), ips)
+            assert np.all(column_slots < map_size)
+
+    def test_one_address_per_block_across_the_whole_space(self):
+        # 2**24 rows: the largest row shifted by 8 still fits uint32.
+        # Row r is the /24 at r << 8, so every slot decodes to itself.
+        ips = np.arange(2**24, dtype=np.uint32)
+        low_bytes = ips & np.uint32(0xFF)
+        ips <<= np.uint32(8)
+        ips |= low_bytes
+        del low_bytes
+        (slots,), map_size = block_slots([ips])
+        assert map_size == 2**32
+        assert slots.dtype == np.uint32
+        assert np.array_equal(slots, ips)

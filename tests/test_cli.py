@@ -421,6 +421,30 @@ class TestAnalyzeStoreMaterialization:
         assert ("Detected events" in output) == ("--detect-events" in flags)
 
 
+class TestWeeklyAnalysesAgree:
+    """A weekly collection analyzes alike as an .npz and as a store: the
+    store's churn is the streamed non-daily transitions path."""
+
+    ARGS = ["simulate", "--seed", "5", "--ases", "12", "--blocks-per-as", "3",
+            "--weekly", "--days", "28"]
+
+    def test_npz_and_store_print_the_same_churn_and_metrics(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path / "weekly")]) == 0
+        assert main(
+            self.ARGS + ["--out", str(tmp_path / "ignored"),
+                         "--store-dir", str(tmp_path / "store")]
+        ) == 0
+        capsys.readouterr()
+        printed = {}
+        for analysis in ("churn", "metrics"):
+            for path in (tmp_path / "weekly.npz", tmp_path / "store"):
+                assert main(["analyze", analysis, str(path)]) == 0
+                printed[analysis, path.name] = capsys.readouterr().out
+            assert printed[analysis, "weekly.npz"] == printed[analysis, "store"]
+        assert "7d" in printed["churn", "store"]
+        assert "Block metrics" in printed["metrics", "store"]
+
+
 class TestProgressPrinter:
     def test_first_heartbeat_with_zero_done_prints_unknown_eta(self, capsys):
         # Regression: a heartbeat before any shard finished (done == 0,
