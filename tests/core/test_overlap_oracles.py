@@ -315,6 +315,11 @@ class TestTransitionChurnOracle:
             assert list(summary.transitions) == transition_churn_oracle(windowed)
 
 
+def fresh(dataset):
+    """A copy of *dataset* with its own, unbuilt index."""
+    return ActivityDataset(dataset.snapshots, dataset.dropped_days)
+
+
 class TestBlockMetricsOracle:
     @settings(max_examples=150, deadline=None)
     @given(datasets())
@@ -345,11 +350,6 @@ class TestBlockMetricsOracle:
         for function in (compute_block_metrics, block_metrics_oracle):
             with pytest.raises(DatasetError, match="no active addresses"):
                 function(fresh(ALL_EMPTY))
-
-
-def fresh(dataset):
-    """A copy of *dataset* with its own, unbuilt index."""
-    return ActivityDataset(dataset.snapshots, dataset.dropped_days)
 
 
 class TestTotalUnique:
